@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 from .kernelgp import SurrogatePrediction, _vector
 
@@ -122,11 +122,11 @@ def lognormal_mean_log(mean: float, variance: float) -> float:
 def proposal_log_density(residual, params: MalaProposalParams) -> float:
     """Log density of N(0, delta * precond) at ``residual``."""
     r = _vector(residual, params.dim)
-    w = solve_triangular(np.linalg.cholesky(params.precond), r, lower=True,
-                         check_finite=False)
+    chol = np.linalg.cholesky(params.precond)
+    w = solve_triangular(chol, r, lower=True, check_finite=False)
     quad = float(w @ w) / params.delta
     logdet = (params.dim * math.log(params.delta)
-              + 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(params.precond))))))
+              + 2.0 * float(np.sum(np.log(np.diag(chol)))))
     return -0.5 * (quad + logdet + params.dim * math.log(2.0 * math.pi))
 
 
@@ -162,9 +162,10 @@ def stage2_log_alpha_mh(current: StateSnapshot, proposal_exact_ll: float,
                         log_q_ratio: float = 0.0) -> float:
     """Stage-2 log acceptance given the exact log-likelihood at the proposal.
 
-    Evaluated both as the full second-stage ratio (with the reverse stage-1
-    acceptance computed from the same cached surrogate quantities) and in the
-    simplified form min(0, exact - mean - var/2); the two must agree.
+    The full second-stage ratio, exact-likelihood ratio times reverse over
+    forward stage-1 acceptance, reduces to min(0, exact - mean - var/2): the
+    prior and proposal terms cancel, so ``proposal_log_prior`` and
+    ``log_q_ratio`` are only checked for finiteness.
     """
     if not stage1.accepted:
         raise StageOrderError("stage 2 requires a stage-1 accepted proposal")
@@ -173,20 +174,7 @@ def stage2_log_alpha_mh(current: StateSnapshot, proposal_exact_ll: float,
     if math.isnan(proposal_exact_ll) or proposal_exact_ll == math.inf:
         raise ValueError("proposal_exact_ll must not be NaN or +inf")
     pred = stage1.prediction
-    surrogate_log = lognormal_mean_log(pred.mean, pred.variance)
-    simplified = min(0.0, proposal_exact_ll - surrogate_log)
-
-    # full form: exact-likelihood ratio times reverse/forward stage-1 ratio
-    log_alpha1_reverse = min(0.0, -stage1.log_ratio_r)
-    direct = min(0.0, (proposal_exact_ll + proposal_log_prior + log_q_ratio
-                       + log_alpha1_reverse)
-                 - (current.exact_ll + current.log_prior
-                    + stage1.log_alpha1_forward))
-    if math.isfinite(direct) or math.isfinite(simplified):
-        scale = max(1.0, abs(simplified) if math.isfinite(simplified) else 1.0)
-        assert abs(direct - simplified) <= 1e-9 * scale, \
-            f"stage-2 forms disagree: {direct} vs {simplified}"
-    return simplified
+    return min(0.0, proposal_exact_ll - lognormal_mean_log(pred.mean, pred.variance))
 
 
 # ---------------------------------------------------------------------------
@@ -233,25 +221,6 @@ def mala_marginal_log_factor(mu: float, grad_mu, joint_cov, c,
     smat = np.zeros((1 + d, 1 + d))
     smat[1:, 1:] = 0.25 * params.delta * params.precond
     return gaussian_quadratic_expectation(m, joint_cov, 0.0, u, smat)
-
-
-def mala_marginal_log_factor_alt(mu: float, grad_mu, joint_cov, c,
-                                 params: MalaProposalParams) -> float:
-    """Alternative specialised closed form for the same marginal factor.
-
-    Retained for comparison only: it disagrees with the Monte-Carlo oracle
-    (see tests), so the samplers never call it.
-    """
-    c = _vector(c, params.dim)
-    grad_mu = _vector(grad_mu, params.dim)
-    cov = np.atleast_2d(np.asarray(joint_cov, dtype=float))
-    lam = params.precond
-    delta = params.delta
-    v_tail = 0.5 * delta * np.linalg.solve(lam, c - 0.25 * delta * (lam @ grad_mu))
-    v = np.concatenate([[1.0], v_tail])
-    stacked = np.concatenate([[float(mu)], lam @ grad_mu])
-    return (float(v @ stacked) + 0.5 * float(v @ cov @ v)
-            + 0.125 * delta**2 * float(grad_mu @ lam @ grad_mu))
 
 
 def stage1_log_alpha_mala(current: StateSnapshot, proposal_theta,

@@ -383,17 +383,6 @@ def execute_replicate(cfg: RunConfig, algo: str, replicate: int,
     return metrics_entry(cfg.target, algo, chain_seed, report)
 
 
-def _report_from_entry(entry: dict) -> MetricsReport:
-    m = entry["metrics"]
-    return MetricsReport(
-        acceptance_rate=m["acceptance_rate"], ess=np.asarray(m["ess"]),
-        esjd=m["esjd"], eval_pct=m["eval_pct"], sd=m["sd"],
-        alpha_gap_series=[tuple(p) for p in m.get("alpha_gap_series", [])],
-        n_full_evals=m.get("n_full_evals", 0), n_iters=m.get("n_iters", 0),
-        n_burnin=m.get("n_burnin", 0), algo=entry["algo"], seed=entry["seed"],
-        wall_clock_seconds=m.get("wall_clock_seconds", 0.0))
-
-
 def _trace_path(cfg: RunConfig, algo: str, replicate: int) -> str:
     return os.path.join(cfg.out_dir,
                         f"trace_{cfg.target}_{algo}_seed{cfg.seed + replicate}.csv")
@@ -458,9 +447,8 @@ def cmd_bench(cfg: RunConfig) -> int:
         n_failed += len(failures)
         for r, entry in entries:
             write_json(_metrics_path(cfg, algo, r), entry)
-        reports = [_report_from_entry(entry) for _, entry in entries]
-        if reports:
-            rows[algo] = aggregate_metrics(reports)
+        if entries:
+            rows[algo] = aggregate_metrics([entry["metrics"] for _, entry in entries])
         else:
             rows[algo] = {"n_replicates": 0, "mean": {}, "median": {}}
         rows[algo]["n_failures"] = len(failures)

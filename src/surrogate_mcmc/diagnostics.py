@@ -165,20 +165,21 @@ def build_metrics(trace: ChainTrace, true_params, *, eval_denominator: int | Non
     )
 
 
-def aggregate_metrics(reports: list[MetricsReport]) -> dict:
-    """Mean and median over replicates; ESS is first averaged over dimensions."""
-    if not reports:
+def aggregate_metrics(metrics: list[dict]) -> dict:
+    """Mean and median over replicates of ``MetricsReport.to_dict()`` rows;
+    ESS is first averaged over dimensions."""
+    if not metrics:
         raise ValueError("no reports to aggregate")
     rows = {
-        "acceptance_rate": [r.acceptance_rate for r in reports],
-        "ess": [float(np.mean(r.ess)) for r in reports],
-        "esjd": [r.esjd for r in reports],
-        "eval_pct": [r.eval_pct for r in reports],
-        "sd": [r.sd for r in reports],
-        "wall_clock_seconds": [r.wall_clock_seconds for r in reports],
+        "acceptance_rate": [m["acceptance_rate"] for m in metrics],
+        "ess": [float(np.mean(m["ess"])) for m in metrics],
+        "esjd": [m["esjd"] for m in metrics],
+        "eval_pct": [m["eval_pct"] for m in metrics],
+        "sd": [m["sd"] for m in metrics],
+        "wall_clock_seconds": [m["wall_clock_seconds"] for m in metrics],
     }
     return {
-        "n_replicates": len(reports),
+        "n_replicates": len(metrics),
         "mean": {k: float(np.mean(v)) for k, v in rows.items()},
         "median": {k: float(np.median(v)) for k, v in rows.items()},
     }

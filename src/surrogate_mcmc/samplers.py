@@ -1,8 +1,10 @@
-"""Chain drivers: plain and Langevin Metropolis-Hastings, each with a
-two-stage variant that screens proposals through the surrogate before
-spending an exact evaluation.
+"""Chain drivers: random-walk and Langevin Metropolis-Hastings, each run
+either with one exact evaluation per iteration or in two stages that screen
+proposals through the surrogate before spending an exact evaluation.
 
-Bookkeeping rules the two-stage drivers maintain:
+A proposal (``_RandomWalk``, ``_Langevin``) supplies the move, the exact
+evaluation and the acceptance ratios; ``_run_exact`` and ``_run_two_stage``
+are the only chain loops. The two-stage loop keeps these rules:
   * the surrogate's constant prior mean is refreshed to the exact
     log-likelihood of the current state every time the state changes;
   * exact quantities for the current state are always served from the
@@ -27,7 +29,7 @@ from .acceptance import (MalaProposalParams, StateSnapshot, mala_drift,
                          stage1_log_alpha_mh, stage2_log_alpha_mala,
                          stage2_log_alpha_mh)
 from .kernelgp import Evaluation, EvaluationLedger, KernelHyper, _vector
-from .targets import TargetInstance
+from .targets import CapabilityError, TargetInstance
 
 _INIT_REDRAW_LIMIT = 20
 
@@ -171,62 +173,6 @@ def _start_state(target: TargetInstance, theta0, *, with_grad: bool) -> StateSna
 
 
 # ---------------------------------------------------------------------------
-# baselines
-
-def run_mh(target: TargetInstance, config: SamplerConfig, theta0) -> ChainTrace:
-    """Random-walk Metropolis-Hastings with one exact evaluation per iteration."""
-    _check_dims(target, config)
-    rng = _mk_rng(config.seed)
-    state = _start_state(target, theta0, with_grad=False)
-    tr = _TraceBuilder(config.n_iters, target.dim)
-    started = time.perf_counter()
-    for k in range(config.n_iters):
-        proposal = state.theta + config.proposal_scales * rng.standard_normal(target.dim)
-        log_prior = target.log_prior(proposal)
-        ll = target.log_likelihood(proposal)
-        log_alpha = min(0.0, (ll + log_prior) - (state.exact_ll + state.log_prior))
-        accepted = _accept(rng, log_alpha)
-        if accepted:
-            state = StateSnapshot(theta=proposal, exact_ll=ll, log_prior=log_prior)
-        tr.record(k, state.theta, log_alpha, accepted, log_alpha, accepted, True)
-    return tr.finish(config, "mh", False, 0, 0, started)
-
-
-def run_mala(target: TargetInstance, config: SamplerConfig, theta0) -> ChainTrace:
-    """Langevin proposals with the exact-gradient drift and exact correction."""
-    _check_dims(target, config)
-    params = _require_mala(target, config)
-    rng = _mk_rng(config.seed)
-    state = _start_state(target, theta0, with_grad=True)
-    tr = _TraceBuilder(config.n_iters, target.dim)
-    started = time.perf_counter()
-    sqrt_delta = math.sqrt(params.delta)
-    for k in range(config.n_iters):
-        grad_prior = target.grad_log_prior(state.theta)
-        forward_mean = mala_drift(state.theta, state.exact_grad_ll, grad_prior, params)
-        noise = params.precond_sqrt @ rng.standard_normal(target.dim)
-        proposal = forward_mean + sqrt_delta * noise
-        log_prior = target.log_prior(proposal)
-        ll, grad = target.log_likelihood_and_grad(proposal)
-        if not math.isfinite(log_prior) or ll == -math.inf:
-            log_alpha = -math.inf
-            accepted = False
-        else:
-            reverse_mean = mala_drift(proposal, grad, target.grad_log_prior(proposal),
-                                      params)
-            log_alpha = min(0.0, (ll + log_prior
-                                  + proposal_log_density(state.theta - reverse_mean, params))
-                            - (state.exact_ll + state.log_prior
-                               + proposal_log_density(proposal - forward_mean, params)))
-            accepted = _accept(rng, log_alpha)
-        if accepted:
-            state = StateSnapshot(theta=proposal, exact_ll=ll, log_prior=log_prior,
-                                  exact_grad_ll=grad)
-        tr.record(k, state.theta, log_alpha, accepted, log_alpha, accepted, True)
-    return tr.finish(config, "mala", False, 0, 0, started)
-
-
-# ---------------------------------------------------------------------------
 # surrogate initialisation
 
 def init_ledger(target: TargetInstance, theta0, config: SamplerConfig,
@@ -289,117 +235,177 @@ def _check_dims(target: TargetInstance, config: SamplerConfig) -> None:
                          f"target dimension {target.dim}")
 
 
-def _require_mala(target: TargetInstance, config: SamplerConfig) -> MalaProposalParams:
-    if config.mala is None:
-        raise ValueError("config.mala is required for Langevin drivers")
-    if config.mala.dim != target.dim:
-        raise ValueError("mala preconditioner dimension does not match target")
-    if not target.has_gradient:
-        from .targets import CapabilityError
-        raise CapabilityError(f"target {target.name} provides no gradients; "
-                              "Langevin drivers need them")
-    return config.mala
-
-
 # ---------------------------------------------------------------------------
-# two-stage drivers
+# proposals
+
+class _RandomWalk:
+    """Gaussian random walk with per-dimension ``proposal_scales``."""
+
+    gradient_mode = False
+
+    def __init__(self, target: TargetInstance, config: SamplerConfig):
+        _check_dims(target, config)
+        self.target = target
+        self.scales = config.proposal_scales
+
+    def propose(self, rng: np.random.Generator, state: StateSnapshot):
+        """The proposed point and the context later steps need from the move."""
+        return state.theta + self.scales * rng.standard_normal(self.target.dim), None
+
+    def evaluate(self, theta):
+        return self.target.log_likelihood(theta), None
+
+    def exact_log_alpha(self, state, proposal, ctx, log_prior, ll, grad):
+        """One-stage log acceptance; ``None`` rejects without a uniform draw."""
+        return min(0.0, (ll + log_prior) - (state.exact_ll + state.log_prior))
+
+    def stage1(self, gp, state, proposal, ctx, log_prior):
+        """Stage-1 decision and the context stage 2 needs."""
+        pred = kernelgp.predict(gp, proposal)
+        return stage1_log_alpha_mh(state, proposal, pred, log_prior), None
+
+    def stage2(self, state, proposal, ctx, log_prior, ll, grad, decision):
+        return stage2_log_alpha_mh(state, ll, decision, log_prior)
+
+
+class _Langevin:
+    """Preconditioned Langevin move drifted by the current state's exact
+    gradient. The move's context is (prior gradient at the current state,
+    forward drift mean); stage 1 turns it into the prior-gradient pair."""
+
+    gradient_mode = True
+
+    def __init__(self, target: TargetInstance, config: SamplerConfig):
+        _check_dims(target, config)
+        if config.mala is None:
+            raise ValueError("config.mala is required for Langevin drivers")
+        if config.mala.dim != target.dim:
+            raise ValueError("mala preconditioner dimension does not match target")
+        if not target.has_gradient:
+            raise CapabilityError(f"target {target.name} provides no gradients; "
+                                  "Langevin drivers need them")
+        self.target = target
+        self.params = config.mala
+        self.sqrt_delta = math.sqrt(self.params.delta)
+
+    def propose(self, rng: np.random.Generator, state: StateSnapshot):
+        params = self.params
+        grad_prior = self.target.grad_log_prior(state.theta)
+        forward_mean = mala_drift(state.theta, state.exact_grad_ll, grad_prior, params)
+        proposal = forward_mean + self.sqrt_delta * (params.precond_sqrt
+                                                     @ rng.standard_normal(self.target.dim))
+        return proposal, (grad_prior, forward_mean)
+
+    def evaluate(self, theta):
+        return self.target.log_likelihood_and_grad(theta)
+
+    def exact_log_alpha(self, state, proposal, ctx, log_prior, ll, grad):
+        if not math.isfinite(log_prior) or ll == -math.inf:
+            return None
+        params = self.params
+        reverse_mean = mala_drift(proposal, grad, self.target.grad_log_prior(proposal),
+                                  params)
+        return min(0.0, (ll + log_prior
+                         + proposal_log_density(state.theta - reverse_mean, params))
+                   - (state.exact_ll + state.log_prior
+                      + proposal_log_density(proposal - ctx[1], params)))
+
+    def stage1(self, gp, state, proposal, ctx, log_prior):
+        prior_grads = (ctx[0], self.target.grad_log_prior(proposal))
+        joint = kernelgp.predict_joint(gp, proposal)
+        return (stage1_log_alpha_mala(state, proposal, joint, prior_grads, log_prior,
+                                      self.params), prior_grads)
+
+    def stage2(self, state, proposal, prior_grads, log_prior, ll, grad, decision):
+        return stage2_log_alpha_mala(state, proposal, ll, grad, decision, prior_grads,
+                                     log_prior, self.params)
+
+
+def run_mh(target: TargetInstance, config: SamplerConfig, theta0) -> ChainTrace:
+    """Random-walk Metropolis-Hastings with one exact evaluation per iteration."""
+    return _run_exact(_RandomWalk(target, config), config, theta0, "mh")
+
+
+def run_mala(target: TargetInstance, config: SamplerConfig, theta0) -> ChainTrace:
+    """Langevin proposals with the exact-gradient drift and exact correction."""
+    return _run_exact(_Langevin(target, config), config, theta0, "mala")
+
 
 def run_gp_mh(target: TargetInstance, config: SamplerConfig, theta0) -> ChainTrace:
-    """Random-walk driver with the surrogate screening stage."""
-    _check_dims(target, config)
-    rng = _mk_rng(config.seed)
-    ledger, init_evals = init_ledger(target, theta0, config, rng=rng)
-    state = StateSnapshot(theta=ledger[0].theta, exact_ll=ledger[0].log_lik,
-                          log_prior=target.log_prior(ledger[0].theta))
-    hyper = config.init_hyper or _default_init_hyper(config, ledger)
-    gp = kernelgp.fit(ledger, hyper, prior_mean=state.exact_ll)
-    tr = _TraceBuilder(config.n_iters, target.dim)
-    started = time.perf_counter()
-    appends_since_opt = 0
-    for k in range(config.n_iters):
-        gp = gp.with_prior_mean(state.exact_ll)
-        proposal = state.theta + config.proposal_scales * rng.standard_normal(target.dim)
-        log_prior = target.log_prior(proposal)
-        if not math.isfinite(log_prior):
-            tr.record(k, state.theta, -math.inf, False, np.nan, False, False)
-            continue
-        pred = kernelgp.predict(gp, proposal)
-        decision = stage1_log_alpha_mh(state, proposal, pred, log_prior)
-        if not _accept(rng, decision.log_alpha1_forward):
-            tr.record(k, state.theta, decision.log_alpha1_forward, False,
-                      np.nan, False, False)
-            continue
-        decision = replace(decision, accepted=True)
-        ll = target.log_likelihood(proposal)
-        grew = _maybe_append(ledger, gp, config, proposal, ll, None)
-        if grew is not None:
-            gp = grew
-            appends_since_opt += 1
-        log_alpha2 = stage2_log_alpha_mh(state, ll, decision, log_prior)
-        accepted2 = _accept(rng, log_alpha2)
-        if accepted2:
-            state = StateSnapshot(theta=proposal, exact_ll=ll, log_prior=log_prior)
-        tr.record(k, state.theta, decision.log_alpha1_forward, True,
-                  log_alpha2, accepted2, True)
-        if k < config.n_burnin and appends_since_opt >= config.hyper_update_every:
-            hyper = kernelgp.optimize_hypers(ledger, gp.hyper, state.exact_ll,
-                                             config.hyper_opt_budget)
-            gp = kernelgp.fit(ledger, hyper, prior_mean=state.exact_ll)
-            appends_since_opt = 0
-    return tr.finish(config, "gp-mh", True, init_evals, len(ledger), started)
+    """Random-walk proposals screened through the scalar surrogate."""
+    return _run_two_stage(_RandomWalk(target, config), config, theta0, "gp-mh")
 
 
 def run_gp_mala(target: TargetInstance, config: SamplerConfig, theta0) -> ChainTrace:
-    """Langevin driver screened through the joint value-gradient surrogate.
+    """Langevin proposals screened through the joint value-gradient surrogate,
+    which marginalises the value and gradient uncertainty at the proposal."""
+    return _run_two_stage(_Langevin(target, config), config, theta0, "gp-mala")
 
-    Proposals drift with the exact gradient of the current state (cached in
-    the ledger); the screening stage marginalises the surrogate's joint value
-    and gradient uncertainty at the proposal.
-    """
-    _check_dims(target, config)
-    params = _require_mala(target, config)
+
+# ---------------------------------------------------------------------------
+# the two loops
+
+def _run_exact(kind, config: SamplerConfig, theta0, algo: str) -> ChainTrace:
+    """One exact evaluation and one accept step per iteration; the decision
+    is mirrored into both stage columns of the trace."""
+    target = kind.target
     rng = _mk_rng(config.seed)
-    ledger, init_evals = init_ledger(target, theta0, config, gradient_mode=True, rng=rng)
-    state = StateSnapshot(theta=ledger[0].theta, exact_ll=ledger[0].log_lik,
-                          log_prior=target.log_prior(ledger[0].theta),
-                          exact_grad_ll=ledger[0].grad)
+    state = _start_state(target, theta0, with_grad=kind.gradient_mode)
+    tr = _TraceBuilder(config.n_iters, target.dim)
+    started = time.perf_counter()
+    for k in range(config.n_iters):
+        proposal, ctx = kind.propose(rng, state)
+        log_prior = target.log_prior(proposal)
+        ll, grad = kind.evaluate(proposal)
+        log_alpha = kind.exact_log_alpha(state, proposal, ctx, log_prior, ll, grad)
+        if log_alpha is None:
+            log_alpha, accepted = -math.inf, False
+        else:
+            accepted = _accept(rng, log_alpha)
+        if accepted:
+            state = StateSnapshot(theta=proposal, exact_ll=ll, log_prior=log_prior,
+                                  exact_grad_ll=grad)
+        tr.record(k, state.theta, log_alpha, accepted, log_alpha, accepted, True)
+    return tr.finish(config, algo, False, 0, 0, started)
+
+
+def _run_two_stage(kind, config: SamplerConfig, theta0, algo: str) -> ChainTrace:
+    """Screen each proposal through the surrogate; evaluate and correct the
+    survivors exactly."""
+    target = kind.target
+    gradient_mode = kind.gradient_mode
+    rng = _mk_rng(config.seed)
+    ledger, init_evals = init_ledger(target, theta0, config,
+                                     gradient_mode=gradient_mode, rng=rng)
+    first = ledger[0]
+    state = StateSnapshot(theta=first.theta, exact_ll=first.log_lik,
+                          log_prior=target.log_prior(first.theta),
+                          exact_grad_ll=first.grad)
     hyper = config.init_hyper or _default_init_hyper(config, ledger)
-    gp = kernelgp.fit(ledger, hyper, prior_mean=state.exact_ll, gradient_mode=True)
+    gp = kernelgp.fit(ledger, hyper, prior_mean=state.exact_ll,
+                      gradient_mode=gradient_mode)
     tr = _TraceBuilder(config.n_iters, target.dim)
     started = time.perf_counter()
     appends_since_opt = 0
-    sqrt_delta = math.sqrt(params.delta)
     for k in range(config.n_iters):
         gp = gp.with_prior_mean(state.exact_ll)
-        grad_prior = target.grad_log_prior(state.theta)
-        forward_mean = mala_drift(state.theta, state.exact_grad_ll, grad_prior, params)
-        proposal = forward_mean + sqrt_delta * (params.precond_sqrt
-                                                @ rng.standard_normal(target.dim))
+        proposal, ctx = kind.propose(rng, state)
         log_prior = target.log_prior(proposal)
         if not math.isfinite(log_prior):
             tr.record(k, state.theta, -math.inf, False, np.nan, False, False)
             continue
-        grad_prior_star = target.grad_log_prior(proposal)
-        joint = kernelgp.predict_joint(gp, proposal)
-        decision = stage1_log_alpha_mala(state, proposal, joint,
-                                         (grad_prior, grad_prior_star),
-                                         log_prior, params)
+        decision, ctx = kind.stage1(gp, state, proposal, ctx, log_prior)
         if not _accept(rng, decision.log_alpha1_forward):
             tr.record(k, state.theta, decision.log_alpha1_forward, False,
                       np.nan, False, False)
             continue
         decision = replace(decision, accepted=True)
-        ll, grad = target.log_likelihood_and_grad(proposal)
+        ll, grad = kind.evaluate(proposal)
         grew = _maybe_append(ledger, gp, config, proposal, ll, grad)
         if grew is not None:
             gp = grew
             appends_since_opt += 1
-        if ll == -math.inf:
-            log_alpha2 = -math.inf
-        else:
-            log_alpha2 = stage2_log_alpha_mala(state, proposal, ll, grad, decision,
-                                               (grad_prior, grad_prior_star),
-                                               log_prior, params)
+        log_alpha2 = kind.stage2(state, proposal, ctx, log_prior, ll, grad, decision)
         accepted2 = _accept(rng, log_alpha2)
         if accepted2:
             state = StateSnapshot(theta=proposal, exact_ll=ll, log_prior=log_prior,
@@ -409,11 +415,11 @@ def run_gp_mala(target: TargetInstance, config: SamplerConfig, theta0) -> ChainT
         if k < config.n_burnin and appends_since_opt >= config.hyper_update_every:
             hyper = kernelgp.optimize_hypers(ledger, gp.hyper, state.exact_ll,
                                              config.hyper_opt_budget,
-                                             gradient_mode=True)
+                                             gradient_mode=gradient_mode)
             gp = kernelgp.fit(ledger, hyper, prior_mean=state.exact_ll,
-                              gradient_mode=True)
+                              gradient_mode=gradient_mode)
             appends_since_opt = 0
-    return tr.finish(config, "gp-mala", True, init_evals, len(ledger), started)
+    return tr.finish(config, algo, True, init_evals, len(ledger), started)
 
 
 def _maybe_append(ledger: EvaluationLedger, gp, config: SamplerConfig,

@@ -249,7 +249,7 @@ def test_to_dict_json_friendly():
 
 def test_aggregate_single_report_equals_itself():
     rep = build_metrics(_metric_trace(), np.zeros(2))
-    agg = aggregate_metrics([rep])
+    agg = aggregate_metrics([rep.to_dict()])
     assert agg["n_replicates"] == 1
     assert agg["mean"]["acceptance_rate"] == rep.acceptance_rate
     assert agg["mean"]["ess"] == pytest.approx(float(np.mean(rep.ess)))
@@ -264,7 +264,7 @@ def test_aggregate_mean_and_median():
                               (0.4, 200.0, 2.0, 50.0, 0.2),
                               (0.9, 600.0, 6.0, 90.0, 0.9)]
     ]
-    agg = aggregate_metrics(reports)
+    agg = aggregate_metrics([rep.to_dict() for rep in reports])
     assert agg["n_replicates"] == 3
     assert agg["mean"]["acceptance_rate"] == pytest.approx(0.5)
     assert agg["median"]["acceptance_rate"] == pytest.approx(0.4)
