@@ -8,6 +8,13 @@ growths during burn-in, and gp-mala caps the ledger at 60 so the cap is
 hit. The t2 cases start inside a bounded prior and reach the -inf branches
 (rejected prior, -inf likelihood) many times per chain.
 
+A second digest per case covers the chain's decisions only: the states,
+the stage-1 and stage-2 accept flags and the exact-evaluation flags, with
+the same evaluation count and ledger size. It leaves out the log-alpha
+columns, so it holds across a change that moves the surrogate's last bits
+without changing a single decision, and such a change must keep it as it
+is.
+
 The hashes pin this machine's floating-point numerics (numpy, BLAS and
 scipy builds). Regenerate them only in a change that alters the numerics
 on purpose and passes the statistical criteria in ``test_acceptance.py``
@@ -16,6 +23,7 @@ instead; print a fresh table with
     PYTHONPATH=src python tests/test_golden_traces.py
 """
 
+import functools
 import hashlib
 
 import numpy as np
@@ -61,8 +69,35 @@ GOLDEN = {
     ('t1', 'gp-mh', 0): ('5b78cc5f06566c799858cebc4043fbd8a9044403fd6f584dae01a7c000b160c0', 178, 178),
 }
 
+# (target, algo, seed) -> (sha256 of the decision columns, exact evaluations,
+# ledger size)
+GOLDEN_DECISIONS = {
+    ('t5', 'mh', 0): ('a9cd02b0b1d7a220afa594dc82fb14fe3947619c566ba041185f5807b37696cf', 401, 0),
+    ('t5', 'mh', 1): ('fac778b27da4896518f001f9b61eb7eb750292e41846b8fb9700de39d994bf3b', 401, 0),
+    ('t5', 'mala', 0): ('bf89470dc5177228e977255ae9f93fe13d3d531bad1ef195b5029741a04258f4', 401, 0),
+    ('t5', 'mala', 1): ('238f721368feb6e649cbfa53aa61a90919a37ea2027b45274e161b4e8df4e5c7', 401, 0),
+    ('t5', 'gp-mh', 0): ('368c8826e89eb51effe0b6fbc317a9abc6b209535dc4603cc87c18dfc7822f6b', 180, 180),
+    ('t5', 'gp-mh', 1): ('e821e162d5b0e3af0d10dff352124853c92e8e2a9c2b3252db6fc2fd41681d3d', 246, 246),
+    ('t5', 'gp-mala', 0): ('cca46ee5421759c0215f187ae24b8a571a09148527d29b88adee2d0ea5a8e15c', 230, 60),
+    ('t5', 'gp-mala', 1): ('b3d70d2595648e722ad36a187ebc0a1045d856080bc215c55d4ec3901cdc8be9', 345, 60),
+    ('t2', 'mh', 0): ('a0b9308bcbcaae1732ad306e79313f023fe400e6eaea1d48e7a29a92bb8087db', 401, 0),
+    ('t2', 'mh', 3): ('2e4a212e56df4d8dae25b49d8ca7853286baca625f12fa84592f4235f7eff4b1', 401, 0),
+    ('t2', 'mala', 0): ('e5145bece4c7466b8ea74c81af03fee79f7c169ec2a27715dae332078e28afb2', 401, 0),
+    ('t2', 'mala', 3): ('f21d75026dd9154326096f35e3fd735eb889cb2942f3dbe2f7dfc7570065e18f', 401, 0),
+    ('t2', 'gp-mh', 0): ('f701fd83783e45f9375eb7e1f35805e21787d2225e0fd0439e561d2dcef6db67', 370, 370),
+    ('t2', 'gp-mh', 3): ('9c25e021f66910575f8a377d8f3cc08b1d71c083a9a961add3c3a5f0b2d9c156', 175, 175),
+    ('t2', 'gp-mala', 0): ('358ad93d60f5545120d83806a5084c0d00e984fcf64b2274ea18cb2d951c3f32', 216, 60),
+    ('t2', 'gp-mala', 3): ('4f92b99b26bbc08fff23500bccc9f54d2c3314b112532b76f45a056fb9da4632', 346, 60),
+    ('t4', 'mh', 0): ('de999a84413c1efdc2a0ceb778317c31788be48bcd248054d6b25fccf6dd17bb', 401, 0),
+    ('t4', 'gp-mh', 0): ('fb3f72b010eacc43e0bc68557a77b2d92d34f7faebf60d1c155a7b906837de18', 85, 85),
+    ('t1', 'mh', 0): ('3b9261e63a727eb0e2dcabcf4497f0f224c27fd63812c169c0de93bc4007267c', 401, 0),
+    ('t1', 'gp-mh', 0): ('874d62fca08deca8c21bb5a1be7835f63c630d68875804ac3a9b380cc3d450f6', 178, 178),
+}
 
+
+@functools.lru_cache(maxsize=None)
 def run_case(name: str, algo: str, seed: int):
+    """(CSV digest, decision digest, exact evaluations, ledger size)."""
     target = make_target(name, seed=seed)
     scales = target.proposal_scales
     mala = (MalaProposalParams.diagonal(target.mala_step, scales ** 2)
@@ -74,14 +109,32 @@ def run_case(name: str, algo: str, seed: int):
     theta0 = target.initial_point(np.random.default_rng(seed))
     trace = bench.ALGORITHMS[algo](target, config, theta0)
     digest = hashlib.sha256(bench.trace_csv_text(trace).encode("utf-8")).hexdigest()
-    return digest, target.eval_count, trace.ledger_size
+    decisions = hashlib.sha256()
+    for column in (trace.thetas, trace.stage1_accepted, trace.stage2_accepted,
+                   trace.full_eval):
+        decisions.update(np.ascontiguousarray(column).tobytes())
+    return digest, decisions.hexdigest(), target.eval_count, trace.ledger_size
 
 
 @pytest.mark.parametrize("name,algo,seed", CASES)
 def test_trace_matches_golden(name, algo, seed):
-    assert run_case(name, algo, seed) == GOLDEN[(name, algo, seed)]
+    digest, _, evals, ledger_size = run_case(name, algo, seed)
+    assert (digest, evals, ledger_size) == GOLDEN[(name, algo, seed)]
+
+
+@pytest.mark.parametrize("name,algo,seed", CASES)
+def test_decisions_match_golden(name, algo, seed):
+    _, decisions, evals, ledger_size = run_case(name, algo, seed)
+    assert (decisions, evals, ledger_size) == GOLDEN_DECISIONS[(name, algo, seed)]
 
 
 if __name__ == "__main__":
-    for case in CASES:
-        print(f"    {case!r}: {run_case(*case)!r},")
+    results = {case: run_case(*case) for case in CASES}
+    print("GOLDEN = {")
+    for case, (digest, _, evals, ledger_size) in results.items():
+        print(f"    {case!r}: {(digest, evals, ledger_size)!r},")
+    print("}")
+    print("GOLDEN_DECISIONS = {")
+    for case, (_, decisions, evals, ledger_size) in results.items():
+        print(f"    {case!r}: {(decisions, evals, ledger_size)!r},")
+    print("}")
