@@ -106,8 +106,11 @@ class MalaProposalParams:
 
 def _require_finite(name: str, *values) -> None:
     for v in values:
-        arr = np.asarray(v, dtype=float)
-        if not np.all(np.isfinite(arr)):
+        if isinstance(v, (float, int, np.floating, np.integer)):
+            finite = math.isfinite(v)
+        else:
+            finite = np.all(np.isfinite(np.asarray(v, dtype=float)))
+        if not finite:
             raise ValueError(f"non-finite value in {name}: {v!r}")
 
 

@@ -115,6 +115,7 @@ class MetricsReport:
     algo: str = ""
     seed: int = 0
     wall_clock_seconds: float = 0.0
+    skipped_appends: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -130,6 +131,7 @@ class MetricsReport:
             "algo": self.algo,
             "seed": self.seed,
             "wall_clock_seconds": self.wall_clock_seconds,
+            "skipped_appends": self.skipped_appends,
         }
 
 
@@ -162,6 +164,7 @@ def build_metrics(trace: ChainTrace, true_params, *, eval_denominator: int | Non
         algo=trace.algo,
         seed=trace.seed,
         wall_clock_seconds=trace.wall_clock_seconds,
+        skipped_appends=trace.skipped_appends,
     )
 
 

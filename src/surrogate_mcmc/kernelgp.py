@@ -4,6 +4,14 @@ Squared-exponential kernel with per-dimension lengthscales, optional joint
 modelling of the function together with its gradient, exact interpolation of
 stored evaluations, incremental Cholesky extension on append, and a
 deterministic simplex search for kernel hyperparameters.
+
+The surrogate keeps its targets whitened by the Cholesky factor L of the
+kernel matrix (Rasmussen & Williams, GPML, Alg. 2.1): L^-1 (t - m0 e) for
+the fit's prior mean m0 and L^-1 e for the value-row indicator e. Moving
+the constant prior mean is then an O(N) vector update, an append extends
+both by one forward-substitution block, and a prediction reads its mean off
+the same L^-1 k* it needs for the variance; nothing calls a full
+Cholesky solve.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
 
 DEFAULT_JITTER_FACTOR = 1e-10
@@ -239,7 +247,14 @@ def _stable_cholesky(kmat: np.ndarray, jitter: float) -> tuple[np.ndarray, float
 
 @dataclass(frozen=True, eq=False)
 class GPSurrogate:
-    """Immutable trained surrogate; ``append`` and recentring return new values."""
+    """Immutable trained surrogate; ``append`` and recentring return new values.
+
+    With K = L L' (``chol``), ``t`` stacking the values (and, in joint mode,
+    the gradients) and ``e`` marking the value rows: ``b_ref = L^-1 (t -
+    reference_mean e)``, ``b_e = L^-1 e`` and ``white = L^-1 (t - prior_mean
+    e)``, always computed from ``b_ref`` and ``b_e`` so repeated recentring
+    cannot drift.
+    """
 
     hyper: KernelHyper
     x_train: np.ndarray
@@ -247,7 +262,10 @@ class GPSurrogate:
     grad_train: np.ndarray | None
     prior_mean: float
     chol: np.ndarray
-    alpha: np.ndarray
+    reference_mean: float
+    b_ref: np.ndarray
+    b_e: np.ndarray
+    white: np.ndarray
     jitter_used: float
     gradient_mode: bool
     train_index: dict
@@ -264,15 +282,14 @@ class GPSurrogate:
         return self.train_index.get(_key(_vector(theta, self.dim)))
 
     def with_prior_mean(self, prior_mean: float) -> "GPSurrogate":
-        """Recentre on a new constant prior mean; rank-0 update of alpha only."""
+        """Recentre on a new constant prior mean in O(N); ``self`` if unchanged."""
         prior_mean = float(prior_mean)
         if not math.isfinite(prior_mean):
             raise ValueError("prior_mean must be finite")
         if prior_mean == self.prior_mean:
             return self
-        targets = _centered_targets(self.y_train, self.grad_train, prior_mean, self.gradient_mode)
-        alpha = cho_solve((self.chol, True), targets, check_finite=False)
-        return replace(self, prior_mean=prior_mean, alpha=alpha)
+        white = self.b_ref - (prior_mean - self.reference_mean) * self.b_e
+        return replace(self, prior_mean=prior_mean, white=white)
 
 
 def _centered_targets(y: np.ndarray, grads: np.ndarray | None, prior_mean: float,
@@ -281,6 +298,15 @@ def _centered_targets(y: np.ndarray, grads: np.ndarray | None, prior_mean: float
         return y - prior_mean
     # gradient observations are centred by the (zero) gradient of the constant mean
     return np.concatenate([(y - prior_mean)[:, None], grads], axis=1).ravel()
+
+
+def _value_rows(n: int, dim: int, gradient_mode: bool) -> np.ndarray:
+    """The indicator e of the value rows among the stacked targets."""
+    if not gradient_mode:
+        return np.ones(n)
+    e = np.zeros((n, 1 + dim))
+    e[:, 0] = 1.0
+    return e.ravel()
 
 
 def fit(ledger: EvaluationLedger, hyper: KernelHyper, prior_mean: float,
@@ -302,18 +328,22 @@ def fit(ledger: EvaluationLedger, hyper: KernelHyper, prior_mean: float,
         kmat = _se_matrix(x, x, hyper)
     chol, jitter_used = _stable_cholesky(kmat, hyper.jitter)
     targets = _centered_targets(y, grads, prior_mean, gradient_mode)
-    alpha = cho_solve((chol, True), targets, check_finite=False)
+    b_ref = solve_triangular(chol, targets, lower=True, check_finite=False)
+    b_e = solve_triangular(chol, _value_rows(x.shape[0], x.shape[1], gradient_mode),
+                           lower=True, check_finite=False)
     index = {_key(x[i]): i for i in range(x.shape[0])}
     return GPSurrogate(hyper=hyper, x_train=x, y_train=y, grad_train=grads,
-                       prior_mean=prior_mean, chol=chol, alpha=alpha,
-                       jitter_used=jitter_used, gradient_mode=gradient_mode,
-                       train_index=index)
+                       prior_mean=prior_mean, chol=chol, reference_mean=prior_mean,
+                       b_ref=b_ref, b_e=b_e, white=b_ref, jitter_used=jitter_used,
+                       gradient_mode=gradient_mode, train_index=index)
 
 
 def append(gp: GPSurrogate, ev: Evaluation) -> GPSurrogate:
     """Extend with one evaluation via a rank-(block) Cholesky update.
 
-    Matches a full refit at the same jitter to tight numerical tolerance.
+    The whitened targets grow by one forward-substitution block, so nothing
+    is re-solved. Matches a full refit at the same jitter to tight numerical
+    tolerance.
     """
     theta = _vector(ev.theta, gp.dim)
     if gp.position(theta) is not None:
@@ -335,23 +365,34 @@ def append(gp: GPSurrogate, ev: Evaluation) -> GPSurrogate:
     except np.linalg.LinAlgError:
         raise IllConditionedKernelError("appended point makes the kernel matrix singular")
     n_old = gp.chol.shape[0]
-    chol = np.zeros((n_old + width, n_old + width))
+    chol = np.empty((n_old + width, n_old + width))
     chol[:n_old, :n_old] = gp.chol
+    chol[:n_old, n_old:] = 0.0
     chol[n_old:, :n_old] = w.T
     chol[n_old:, n_old:] = corner_chol
+
+    grad_new = ev.grad[None, :] if gp.gradient_mode else None
+    rhs = np.column_stack([
+        _centered_targets(np.array([ev.log_lik]), grad_new, gp.reference_mean,
+                          gp.gradient_mode) - w.T @ gp.b_ref,
+        _value_rows(1, gp.dim, gp.gradient_mode) - w.T @ gp.b_e])
+    block = solve_triangular(corner_chol, rhs, lower=True, check_finite=False)
+    b_ref = np.concatenate([gp.b_ref, block[:, 0]])
+    b_e = np.concatenate([gp.b_e, block[:, 1]])
+    white = np.concatenate([gp.white, block[:, 0] - (gp.prior_mean - gp.reference_mean)
+                            * block[:, 1]])
 
     x_train = np.vstack([gp.x_train, theta[None, :]])
     y_train = np.append(gp.y_train, ev.log_lik)
     grad_train = None
     if gp.gradient_mode:
-        grad_train = np.vstack([gp.grad_train, ev.grad[None, :]])
-    targets = _centered_targets(y_train, grad_train, gp.prior_mean, gp.gradient_mode)
-    alpha = cho_solve((chol, True), targets, check_finite=False)
+        grad_train = np.vstack([gp.grad_train, grad_new])
     index = dict(gp.train_index)
     index[_key(theta)] = gp.n_train
     return GPSurrogate(hyper=gp.hyper, x_train=x_train, y_train=y_train,
                        grad_train=grad_train, prior_mean=gp.prior_mean, chol=chol,
-                       alpha=alpha, jitter_used=gp.jitter_used,
+                       reference_mean=gp.reference_mean, b_ref=b_ref, b_e=b_e,
+                       white=white, jitter_used=gp.jitter_used,
                        gradient_mode=gp.gradient_mode, train_index=index)
 
 
@@ -368,8 +409,8 @@ def predict(gp: GPSurrogate, theta) -> SurrogatePrediction:
         cross = _joint_block_matrix(gp.x_train, theta[None, :], gp.hyper)[:, 0]
     else:
         cross = _se_matrix(gp.x_train, theta[None, :], gp.hyper)[:, 0]
-    mean = gp.prior_mean + float(cross @ gp.alpha)
     w = solve_triangular(gp.chol, cross, lower=True, check_finite=False)
+    mean = gp.prior_mean + float(w @ gp.white)
     variance = max(gp.hyper.signal_variance - float(w @ w), 0.0)
     return SurrogatePrediction(mean=mean, variance=variance)
 
@@ -386,9 +427,9 @@ def predict_joint(gp: GPSurrogate, theta) -> SurrogatePrediction:
                                    grad_mean=gp.grad_train[pos].copy(),
                                    joint_cov=np.zeros((1 + d, 1 + d)))
     cross = _joint_block_matrix(gp.x_train, theta[None, :], gp.hyper)
-    joint_mean = cross.T @ gp.alpha
-    joint_mean[0] += gp.prior_mean
     w = solve_triangular(gp.chol, cross, lower=True, check_finite=False)
+    joint_mean = w.T @ gp.white
+    joint_mean[0] += gp.prior_mean
     cov = _query_prior_block(gp.hyper) - w.T @ w
     cov = 0.5 * (cov + cov.T)
     evals, evecs = np.linalg.eigh(cov)
@@ -403,9 +444,8 @@ def log_marginal_likelihood(ledger: EvaluationLedger, hyper: KernelHyper,
                             prior_mean: float, gradient_mode: bool = False) -> float:
     """-0.5 (y-m)' K^-1 (y-m) - 0.5 log det K - (t/2) log 2 pi at the jittered K."""
     gp = fit(ledger, hyper, prior_mean, gradient_mode=gradient_mode)
-    targets = _centered_targets(gp.y_train, gp.grad_train, gp.prior_mean, gp.gradient_mode)
-    n = targets.shape[0]
-    quad = float(targets @ gp.alpha)
+    n = gp.white.shape[0]
+    quad = float(gp.white @ gp.white)
     logdet = 2.0 * float(np.sum(np.log(np.diag(gp.chol))))
     return -0.5 * quad - 0.5 * logdet - 0.5 * n * math.log(2.0 * math.pi)
 

@@ -10,7 +10,8 @@ are the only chain loops. The two-stage loop keeps these rules:
   * exact quantities for the current state are always served from the
     evaluation ledger, never re-predicted;
   * every stage-1 acceptance triggers exactly one exact evaluation, and the
-    result is appended to the ledger (finite values only);
+    result is appended to the surrogate and the ledger (finite values only);
+    an append the kernel cannot factorise is skipped in both and counted;
   * kernel hyperparameters are re-optimised every ``hyper_update_every``
     ledger growths during burn-in and frozen afterwards.
 """
@@ -82,7 +83,9 @@ class ChainTrace:
 
     ``thetas[k]`` is the state after iteration ``k``. For two-stage runs
     ``stage2_log_alpha`` is NaN on iterations stage 1 rejected; baselines
-    mirror their single exact decision into both stages.
+    mirror their single exact decision into both stages. ``skipped_appends``
+    counts exact evaluations left out of the surrogate because appending
+    them made the kernel matrix singular.
     """
 
     thetas: np.ndarray
@@ -98,6 +101,7 @@ class ChainTrace:
     gp_init_evals: int
     ledger_size: int
     wall_clock_seconds: float
+    skipped_appends: int = 0
 
     @property
     def n_iters(self) -> int:
@@ -135,7 +139,8 @@ class _TraceBuilder:
         self.full_eval[k] = evaluated
 
     def finish(self, config: SamplerConfig, algo: str, two_stage: bool,
-               gp_init_evals: int, ledger_size: int, started: float) -> ChainTrace:
+               gp_init_evals: int, ledger_size: int, started: float,
+               skipped_appends: int = 0) -> ChainTrace:
         return ChainTrace(thetas=self.thetas, stage1_log_alpha=self.s1_log_alpha,
                           stage1_accepted=self.s1_accepted,
                           stage2_log_alpha=self.s2_log_alpha,
@@ -143,7 +148,8 @@ class _TraceBuilder:
                           n_burnin=config.n_burnin, two_stage=two_stage, algo=algo,
                           seed=config.seed, gp_init_evals=gp_init_evals,
                           ledger_size=ledger_size,
-                          wall_clock_seconds=time.perf_counter() - started)
+                          wall_clock_seconds=time.perf_counter() - started,
+                          skipped_appends=skipped_appends)
 
 
 def _mk_rng(seed: int) -> np.random.Generator:
@@ -287,10 +293,19 @@ class _Langevin:
         self.target = target
         self.params = config.mala
         self.sqrt_delta = math.sqrt(self.params.delta)
+        self._prior_grad_of = (None, None)
+
+    def _grad_prior(self, state: StateSnapshot) -> np.ndarray:
+        """Prior gradient at the state, computed once per state."""
+        cached_state, grad = self._prior_grad_of
+        if cached_state is not state:
+            grad = self.target.grad_log_prior(state.theta)
+            self._prior_grad_of = (state, grad)
+        return grad
 
     def propose(self, rng: np.random.Generator, state: StateSnapshot):
         params = self.params
-        grad_prior = self.target.grad_log_prior(state.theta)
+        grad_prior = self._grad_prior(state)
         forward_mean = mala_drift(state.theta, state.exact_grad_ll, grad_prior, params)
         proposal = forward_mean + self.sqrt_delta * (params.precond_sqrt
                                                      @ rng.standard_normal(self.target.dim))
@@ -387,6 +402,7 @@ def _run_two_stage(kind, config: SamplerConfig, theta0, algo: str) -> ChainTrace
     tr = _TraceBuilder(config.n_iters, target.dim)
     started = time.perf_counter()
     appends_since_opt = 0
+    skipped_appends = 0
     for k in range(config.n_iters):
         gp = gp.with_prior_mean(state.exact_ll)
         proposal, ctx = kind.propose(rng, state)
@@ -401,7 +417,11 @@ def _run_two_stage(kind, config: SamplerConfig, theta0, algo: str) -> ChainTrace
             continue
         decision = replace(decision, accepted=True)
         ll, grad = kind.evaluate(proposal)
-        grew = _maybe_append(ledger, gp, config, proposal, ll, grad)
+        try:
+            grew = _maybe_append(ledger, gp, config, proposal, ll, grad)
+        except kernelgp.IllConditionedKernelError:
+            grew = None
+            skipped_appends += 1
         if grew is not None:
             gp = grew
             appends_since_opt += 1
@@ -419,12 +439,17 @@ def _run_two_stage(kind, config: SamplerConfig, theta0, algo: str) -> ChainTrace
             gp = kernelgp.fit(ledger, hyper, prior_mean=state.exact_ll,
                               gradient_mode=gradient_mode)
             appends_since_opt = 0
-    return tr.finish(config, algo, True, init_evals, len(ledger), started)
+    return tr.finish(config, algo, True, init_evals, len(ledger), started,
+                     skipped_appends)
 
 
 def _maybe_append(ledger: EvaluationLedger, gp, config: SamplerConfig,
                   theta, ll: float, grad):
-    """Grow ledger and surrogate with a finite evaluation, respecting the cap."""
+    """Grow surrogate and ledger with a finite evaluation, respecting the cap.
+
+    The surrogate grows first, so an ``IllConditionedKernelError`` from it
+    leaves the ledger as it was and the two stay in step.
+    """
     if not math.isfinite(ll):
         return None
     if config.ledger_cap is not None and len(ledger) >= config.ledger_cap:
@@ -432,5 +457,6 @@ def _maybe_append(ledger: EvaluationLedger, gp, config: SamplerConfig,
     if ledger.position(theta) is not None:
         return None
     ev = Evaluation(theta=theta, log_lik=ll, grad=grad)
+    grown = kernelgp.append(gp, ev)
     ledger.append(ev)
-    return kernelgp.append(gp, ev)
+    return grown

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from surrogate_mcmc.acceptance import (MalaProposalParams, StageOrderError,
-                                       StateSnapshot,
+                                       StateSnapshot, _require_finite,
                                        gaussian_quadratic_expectation,
                                        lognormal_mean_log, mala_drift,
                                        mala_marginal_log_factor,
@@ -40,6 +40,15 @@ def test_lognormal_mean_log_matches_monte_carlo():
 def test_lognormal_mean_log_rejects_negative_variance():
     with pytest.raises(ValueError):
         lognormal_mean_log(0.0, -1e-9)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, np.float64(math.inf),
+                                 np.float32(math.nan), np.array(math.nan),
+                                 np.array([0.0, math.inf])])
+def test_require_finite_rejects_scalars_and_arrays_alike(bad):
+    _require_finite("probe", 0.5, 3, np.int64(2), np.zeros(2))
+    with pytest.raises(ValueError, match=r"^non-finite value in probe: "):
+        _require_finite("probe", 0.5, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Each case runs a short seeded chain and compares the SHA-256 of its trace
 CSV (``bench.trace_csv_text``), the target's exact-evaluation count and the
-final ledger size against values recorded before the samplers were folded
-into one exact loop and one two-stage loop. Refits run every 10 ledger
+final ledger size against recorded values. They were first recorded before
+the samplers were folded into one exact loop and one two-stage loop, and
+regenerated when the surrogate switched to whitened targets, which moved
+the two-stage log-alpha columns by at most 7e-7 and no decision. Refits run every 10 ledger
 growths during burn-in, and gp-mala caps the ledger at 60 so the cap is
 hit. The t2 cases start inside a bounded prior and reach the -inf branches
 (rejected prior, -inf likelihood) many times per chain.
@@ -51,22 +53,22 @@ GOLDEN = {
     ('t5', 'mh', 1): ('70fb3c3abd921338f14a9a881f23e7bab51450892f49b86fd43a2ddc7718cff0', 401, 0),
     ('t5', 'mala', 0): ('0b783e4459060a19a2e5819d68cfc5d35b8d59b3189e80fcfa718b9bbedc84e2', 401, 0),
     ('t5', 'mala', 1): ('efef5731dace6dad805eae2ff0d751f2eff7d2b23ea006c2a621f53adc64a16e', 401, 0),
-    ('t5', 'gp-mh', 0): ('c7f12e6ec6922848df3de6795a1c66b8c4378bde9c59c304fa9655b80180ab5b', 180, 180),
-    ('t5', 'gp-mh', 1): ('1ded8df5a42e70167339652bc95259c7215de4d60769f653be73b3beaffcfcab', 246, 246),
-    ('t5', 'gp-mala', 0): ('0ef7484a0ac85c4dc41ed203b0b8245bad9214f666fc0e4f3c325dffeb008142', 230, 60),
-    ('t5', 'gp-mala', 1): ('6ac91a6c5e354ef644dd4c7f64bd13c293120294b66ccee55587d3a2110af0ba', 345, 60),
+    ('t5', 'gp-mh', 0): ('efcf38bf412ebb1531fad27e10d70b99628a3a7c125d2dd6464b657f820acf0b', 180, 180),
+    ('t5', 'gp-mh', 1): ('a558d442b487e8e0200f819b04ab659a7a67fb0eb62a17efbce6738c62277bf7', 246, 246),
+    ('t5', 'gp-mala', 0): ('e311be09531450b0f5522579852fa6915b8f8f3c6eb9099fe95cad4be637fe83', 230, 60),
+    ('t5', 'gp-mala', 1): ('6abc0aa5dbe0b8dcf930bc57fde42b249fa4f54286aeae102e3924b9e1086d21', 345, 60),
     ('t2', 'mh', 0): ('0c6cf0e70bf76db2ab457536881f547ba1c6c3383bb2cf007ce8cd6b972131f9', 401, 0),
     ('t2', 'mh', 3): ('1fa415d79cf574fdf923cc4c99a1b0cddde85c2686ca815bdfc32d275e643446', 401, 0),
     ('t2', 'mala', 0): ('3cb63dde3391f10d7c9ed57d602cdcdcc24c0f4c18085423ce344e163525b45d', 401, 0),
     ('t2', 'mala', 3): ('396e82a5a4c018a9f62671dd4dd81187372547679b57a3b7b4df8fec1dd81320', 401, 0),
-    ('t2', 'gp-mh', 0): ('c703ff7eedab0a7106724156c70d0722ac1964a200349b48a87c0841fcc3c5b1', 370, 370),
-    ('t2', 'gp-mh', 3): ('11119dc3a79df3e2d5cd56f348ccf6d29eb32dd1cce181e93004e8344e2b277a', 175, 175),
-    ('t2', 'gp-mala', 0): ('7b0e652866af0c13d631a5e1fa2bebc88a2eef3af6029a56eedffd066a5cf384', 216, 60),
-    ('t2', 'gp-mala', 3): ('a937ab368ada97d7cfe08d3a09c81b5657c11cc997f4bac35b7e2b603857f637', 346, 60),
+    ('t2', 'gp-mh', 0): ('5a4321dd8d4e20c44fce09a776c05be6b560315b42d12fcbf838718ee6ef66d3', 370, 370),
+    ('t2', 'gp-mh', 3): ('ea9858f9181c05e4184f179552e1941e3c8ecd49d1c25c39f9c5fea8b57d8185', 175, 175),
+    ('t2', 'gp-mala', 0): ('f9e9fc07bb7c025bf035b099291cce871313725cb18f74bb5c52c976e654d031', 216, 60),
+    ('t2', 'gp-mala', 3): ('dc549066d827335d18ff73d91c60d847d133d367b29045ddc85aa209ce8b90b8', 346, 60),
     ('t4', 'mh', 0): ('88a9ed0ab4e9b270ccb7ad90aefaea9833325766900fa8c04d448bc4348a69a6', 401, 0),
-    ('t4', 'gp-mh', 0): ('97d05a6f077ac531e95b1608dd7a30a38eb9a93dabeaea2b7027c5eb36173833', 85, 85),
+    ('t4', 'gp-mh', 0): ('4feb5bc9d02deb372d5723df8c0be4b06073534e5ad8400e3303cd0aa52f2230', 85, 85),
     ('t1', 'mh', 0): ('6981bb2f73253ce0481a29fa87774d951512f92c7824d1bcb9777fd35a727945', 401, 0),
-    ('t1', 'gp-mh', 0): ('5b78cc5f06566c799858cebc4043fbd8a9044403fd6f584dae01a7c000b160c0', 178, 178),
+    ('t1', 'gp-mh', 0): ('aaf4506a98ceaaa64fda578c0a3b33294387941af940168b32bb618a1090b193', 178, 178),
 }
 
 # (target, algo, seed) -> (sha256 of the decision columns, exact evaluations,

@@ -182,6 +182,30 @@ def test_with_prior_mean_matches_refit():
     assert gp.with_prior_mean(0.0) is gp
 
 
+@pytest.mark.parametrize("gradient_mode", [False, True])
+def test_alternating_recentres_do_not_drift(gradient_mode):
+    rng = np.random.default_rng(13)
+    ledger = random_ledger(rng, 8, 2, with_grads=gradient_mode)
+    fitted = fit(ledger, HYPER_2D, prior_mean=0.4, gradient_mode=gradient_mode)
+    gp = fitted
+    means = (-120.0, 3.5)
+    for i in range(1000):
+        gp = gp.with_prior_mean(means[i % 2])
+    # every recentre starts from the fit's whitened targets: no rounding accumulates
+    np.testing.assert_array_equal(gp.white, fitted.with_prior_mean(means[1]).white)
+    refit = fit(ledger, HYPER_2D, prior_mean=means[1], gradient_mode=gradient_mode)
+    np.testing.assert_allclose(gp.white, refit.white, rtol=0, atol=1e-8)
+    for _ in range(10):
+        q = rng.uniform(-2, 2, size=2)
+        if gradient_mode:
+            a, b = predict_joint(gp, q), predict_joint(refit, q)
+            np.testing.assert_allclose(a.grad_mean, b.grad_mean, rtol=0, atol=1e-8)
+        else:
+            a, b = predict(gp, q), predict(refit, q)
+        assert a.mean == pytest.approx(b.mean, abs=1e-8)
+        assert a.variance == pytest.approx(b.variance, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # append
 
@@ -231,6 +255,52 @@ def test_append_equals_refit_gradient_mode():
         assert a.mean == pytest.approx(b.mean, abs=1e-8)
         np.testing.assert_allclose(a.grad_mean, b.grad_mean, atol=1e-8)
         np.testing.assert_allclose(a.joint_cov, b.joint_cov, atol=1e-8)
+
+
+def test_append_chain_matches_fit_whitened_state_gradient_mode():
+    rng = np.random.default_rng(14)
+    points = rng.uniform(-1, 1, size=(6, 2))
+    values = np.sin(points[:, 0]) + 0.5 * np.cos(2 * points[:, 1])
+    grads = np.stack([np.cos(points[:, 0]), -np.sin(2 * points[:, 1])], axis=1)
+    gp = fit(make_ledger(points[:2], values[:2], grads[:2]), HYPER_2D, prior_mean=0.0,
+             gradient_mode=True).with_prior_mean(1.3)
+    for i in range(2, 6):
+        gp = append(gp, Evaluation(theta=points[i], log_lik=values[i], grad=grads[i]))
+    full = fit(make_ledger(points, values, grads), HYPER_2D, prior_mean=1.3,
+               gradient_mode=True)
+    np.testing.assert_allclose(gp.chol, full.chol, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(gp.white, full.white, rtol=0, atol=1e-8)
+    for _ in range(10):
+        q = rng.uniform(-1, 1, size=2)
+        a, b = predict_joint(gp, q), predict_joint(full, q)
+        assert a.mean == pytest.approx(b.mean, abs=1e-8)
+        np.testing.assert_allclose(a.grad_mean, b.grad_mean, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(a.joint_cov, b.joint_cov, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("gradient_mode", [False, True])
+def test_sibling_appends_share_nothing_they_write(gradient_mode):
+    rng = np.random.default_rng(15)
+    points = rng.uniform(-2, 2, size=(6, 2))
+    values = rng.standard_normal(6)
+    grads = rng.standard_normal((6, 2)) if gradient_mode else None
+    ledger = lambda idx: make_ledger(points[idx], values[idx],
+                                     None if grads is None else grads[idx])
+    evs = [Evaluation(theta=points[i], log_lik=values[i],
+                      grad=None if grads is None else grads[i]) for i in (4, 5)]
+    parent = fit(ledger([0, 1, 2, 3]), HYPER_2D, prior_mean=0.5,
+                 gradient_mode=gradient_mode).with_prior_mean(-0.7)
+    first, second = append(parent, evs[0]), append(parent, evs[1])
+    for gp, rows in ((parent, [0, 1, 2, 3]), (first, [0, 1, 2, 3, 4]),
+                     (second, [0, 1, 2, 3, 5])):
+        full = fit(ledger(rows), HYPER_2D, prior_mean=-0.7, gradient_mode=gradient_mode)
+        assert gp.n_train == full.n_train
+        np.testing.assert_allclose(gp.chol, full.chol, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(gp.white, full.white, rtol=0, atol=1e-8)
+        for q in points[4:]:
+            a, b = predict(gp, q), predict(full, q)
+            assert a.mean == pytest.approx(b.mean, abs=1e-8)
+            assert a.variance == pytest.approx(b.variance, abs=1e-8)
 
 
 def test_append_duplicate_rejected():
@@ -360,6 +430,49 @@ def test_lml_matches_dense_oracle():
     expected = (-0.5 * resid @ np.linalg.inv(kmat) @ resid - 0.5 * logdet
                 - 2.5 * math.log(2 * math.pi))
     assert log_marginal_likelihood(ledger, HYPER_2D, 0.3) == pytest.approx(expected, abs=1e-8)
+
+
+def dense_joint_kernel(points, hyper):
+    # independent oracle: [f, grad f] blocks from the scalar derivative formulas
+    n, d = points.shape
+    kmat = np.empty((n * (1 + d), n * (1 + d)))
+    for i in range(n):
+        for j in range(n):
+            k, dk_dy, d2 = se_kernel_derivative_blocks(points[i], points[j], hyper)
+            block = np.empty((1 + d, 1 + d))
+            block[0, 0] = k
+            block[0, 1:] = dk_dy
+            block[1:, 0] = -dk_dy
+            block[1:, 1:] = d2
+            kmat[i * (1 + d):(i + 1) * (1 + d), j * (1 + d):(j + 1) * (1 + d)] = block
+    return kmat
+
+
+@pytest.mark.parametrize("gradient_mode", [False, True])
+def test_lml_matches_dense_formula_both_modes(gradient_mode):
+    rng = np.random.default_rng(16)
+    n, prior_mean = 4, -0.6
+    points = rng.uniform(-2, 2, size=(n, 2))
+    values = rng.standard_normal(n)
+    grads = rng.standard_normal((n, 2))
+    if gradient_mode:
+        ledger = make_ledger(points, values, grads)
+        kmat = dense_joint_kernel(points, HYPER_2D)
+        resid = np.concatenate([(values - prior_mean)[:, None], grads], axis=1).ravel()
+    else:
+        ledger = make_ledger(points, values)
+        kmat = np.array([[se_kernel(points[i], points[j], HYPER_2D) for j in range(n)]
+                         for i in range(n)])
+        resid = values - prior_mean
+    assert fit(ledger, HYPER_2D, prior_mean,
+               gradient_mode=gradient_mode).jitter_used == HYPER_2D.jitter
+    kmat = kmat + HYPER_2D.jitter * np.eye(kmat.shape[0])
+    sign, logdet = np.linalg.slogdet(kmat)
+    assert sign > 0
+    expected = (-0.5 * resid @ np.linalg.solve(kmat, resid) - 0.5 * logdet
+                - 0.5 * kmat.shape[0] * math.log(2 * math.pi))
+    value = log_marginal_likelihood(ledger, HYPER_2D, prior_mean, gradient_mode=gradient_mode)
+    assert value == pytest.approx(expected, rel=1e-8, abs=1e-8)
 
 
 def test_optimize_never_worsens_objective():

@@ -14,9 +14,11 @@ from surrogate_mcmc.acceptance import (
     stage1_log_alpha_mh,
 )
 from surrogate_mcmc.kernelgp import Evaluation, EvaluationLedger, KernelHyper
+from surrogate_mcmc.diagnostics import build_metrics
 from surrogate_mcmc.samplers import (
     InitializationError,
     SamplerConfig,
+    _maybe_append,
     init_ledger,
     run_gp_mala,
     run_gp_mh,
@@ -242,6 +244,34 @@ def test_ledger_cap_respected():
     assert trace.ledger_size <= 5
     # still produced exact evaluations beyond the cap
     assert int(trace.full_eval.sum()) > 5
+
+
+# a kernel whose nugget is below rounding: a point 1e-13 away from a stored
+# one makes the appended Schur complement exactly zero
+SINGULAR_HYPER = KernelHyper(lengthscales=(1.0,), signal_variance=1.0, jitter=1e-30)
+
+
+def test_ill_conditioned_append_leaves_ledger_and_surrogate_in_step():
+    ledger = EvaluationLedger([Evaluation(theta=np.zeros(1), log_lik=-0.5)])
+    gp = kernelgp.fit(ledger, SINGULAR_HYPER, prior_mean=-0.5)
+    config = gauss_config(init_hyper=SINGULAR_HYPER, gp_init_count=1)
+    with pytest.raises(kernelgp.IllConditionedKernelError):
+        _maybe_append(ledger, gp, config, np.array([1e-13]), -0.5, None)
+    assert len(ledger) == gp.n_train == 1
+    grown = _maybe_append(ledger, gp, config, np.array([1.0]), -1.0, None)
+    assert len(ledger) == grown.n_train == 2
+
+
+def test_two_stage_chain_skips_and_counts_singular_appends():
+    target = standard_normal_target(1)
+    config = SamplerConfig(proposal_scales=(1e-13,), n_iters=60, n_burnin=10,
+                           gp_init_count=1, init_hyper=SINGULAR_HYPER, seed=3)
+    trace = run_gp_mh(target, config, np.zeros(1))
+    assert trace.ledger_size == 1
+    assert trace.skipped_appends == int(trace.full_eval.sum()) > 0
+    assert trace.n_full_evals == target.eval_count
+    report = build_metrics(trace, target.true_params)
+    assert report.to_dict()["skipped_appends"] == trace.skipped_appends
 
 
 def test_infinite_prior_shortcut():
