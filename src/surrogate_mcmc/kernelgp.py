@@ -114,51 +114,79 @@ class Evaluation:
 
 
 class EvaluationLedger:
-    """Append-only store of exact evaluations with O(1) duplicate lookup."""
+    """Immutable store of exact evaluations with O(1) duplicate lookup.
+
+    The evaluations are held as stacked read-only arrays: thetas, values and,
+    when every entry has one, gradients. ``with_entry`` returns a grown copy
+    and leaves this ledger as it was, so two appends to one parent cannot
+    see each other.
+    """
 
     def __init__(self, entries=()):
-        self._entries: list[Evaluation] = []
+        entries = list(entries)
         self._index: dict[bytes, int] = {}
         for ev in entries:
-            self.append(ev)
+            self._claim(ev, entries[0].theta.shape[0])
+        with_grads = all(ev.grad is not None for ev in entries)
+        self._freeze(np.array([ev.theta for ev in entries]),
+                     np.array([ev.log_lik for ev in entries]),
+                     np.array([ev.grad for ev in entries]) if with_grads else None)
 
-    def append(self, ev: Evaluation) -> None:
+    def _claim(self, ev: Evaluation, dim: int) -> None:
         key = _key(ev.theta)
         if key in self._index:
             raise DuplicatePointError("theta already recorded in ledger")
-        if self._entries and ev.theta.shape[0] != self.dim:
+        if ev.theta.shape[0] != dim:
             raise ValueError("dimension mismatch with existing entries")
-        self._index[key] = len(self._entries)
-        self._entries.append(ev)
+        self._index[key] = len(self._index)
+
+    def _freeze(self, thetas, values, grads) -> None:
+        for arr in (thetas, values, grads):
+            if arr is not None:
+                arr.flags.writeable = False
+        self._thetas, self._values, self._grads = thetas, values, grads
+
+    def with_entry(self, ev: Evaluation) -> "EvaluationLedger":
+        """A copy grown by ``ev``; raises as the constructor would."""
+        if not self._index:
+            return EvaluationLedger([ev])
+        grown = object.__new__(EvaluationLedger)
+        grown._index = dict(self._index)
+        grown._claim(ev, self.dim)
+        with_grads = self._grads is not None and ev.grad is not None
+        grown._freeze(np.vstack([self._thetas, ev.theta]), np.append(self._values, ev.log_lik),
+                      np.vstack([self._grads, ev.grad]) if with_grads else None)
+        return grown
 
     def position(self, theta) -> int | None:
         return self._index.get(_key(_vector(theta)))
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._index)
 
     def __getitem__(self, i: int) -> Evaluation:
-        return self._entries[i]
+        grad = None if self._grads is None else self._grads[i]
+        return Evaluation(theta=self._thetas[i], log_lik=self._values[i], grad=grad)
 
     def __iter__(self):
-        return iter(self._entries)
+        return map(self.__getitem__, range(len(self)))
 
     @property
     def dim(self) -> int:
-        if not self._entries:
+        if not self._index:
             raise ValueError("empty ledger has no dimension")
-        return self._entries[0].theta.shape[0]
+        return self._thetas.shape[1]
 
     def thetas(self) -> np.ndarray:
-        return np.array([ev.theta for ev in self._entries])
+        return self._thetas
 
     def values(self) -> np.ndarray:
-        return np.array([ev.log_lik for ev in self._entries])
+        return self._values
 
     def grads(self) -> np.ndarray:
-        if any(ev.grad is None for ev in self._entries):
+        if self._grads is None:
             raise GradientModeError("ledger entries lack gradients")
-        return np.array([ev.grad for ev in self._entries])
+        return self._grads
 
 
 @dataclass(frozen=True)
@@ -253,13 +281,11 @@ class GPSurrogate:
     the gradients) and ``e`` marking the value rows: ``b_ref = L^-1 (t -
     reference_mean e)``, ``b_e = L^-1 e`` and ``white = L^-1 (t - prior_mean
     e)``, always computed from ``b_ref`` and ``b_e`` so repeated recentring
-    cannot drift.
+    cannot drift. ``data`` is the training set, row for row.
     """
 
     hyper: KernelHyper
-    x_train: np.ndarray
-    y_train: np.ndarray
-    grad_train: np.ndarray | None
+    data: EvaluationLedger
     prior_mean: float
     chol: np.ndarray
     reference_mean: float
@@ -268,18 +294,14 @@ class GPSurrogate:
     white: np.ndarray
     jitter_used: float
     gradient_mode: bool
-    train_index: dict
 
     @property
     def n_train(self) -> int:
-        return self.x_train.shape[0]
+        return len(self.data)
 
     @property
     def dim(self) -> int:
-        return self.x_train.shape[1]
-
-    def position(self, theta) -> int | None:
-        return self.train_index.get(_key(_vector(theta, self.dim)))
+        return self.data.dim
 
     def with_prior_mean(self, prior_mean: float) -> "GPSurrogate":
         """Recentre on a new constant prior mean in O(N); ``self`` if unchanged."""
@@ -311,7 +333,7 @@ def _value_rows(n: int, dim: int, gradient_mode: bool) -> np.ndarray:
 
 def fit(ledger: EvaluationLedger, hyper: KernelHyper, prior_mean: float,
         gradient_mode: bool = False) -> GPSurrogate:
-    """Train on every ledger entry; exact interpolation up to the jitter."""
+    """Train on every ledger entry, kept as ``data``; exact up to the jitter."""
     if len(ledger) == 0:
         raise ValueError("cannot fit on an empty ledger")
     x = ledger.thetas()
@@ -331,11 +353,9 @@ def fit(ledger: EvaluationLedger, hyper: KernelHyper, prior_mean: float,
     b_ref = solve_triangular(chol, targets, lower=True, check_finite=False)
     b_e = solve_triangular(chol, _value_rows(x.shape[0], x.shape[1], gradient_mode),
                            lower=True, check_finite=False)
-    index = {_key(x[i]): i for i in range(x.shape[0])}
-    return GPSurrogate(hyper=hyper, x_train=x, y_train=y, grad_train=grads,
-                       prior_mean=prior_mean, chol=chol, reference_mean=prior_mean,
-                       b_ref=b_ref, b_e=b_e, white=b_ref, jitter_used=jitter_used,
-                       gradient_mode=gradient_mode, train_index=index)
+    return GPSurrogate(hyper=hyper, data=ledger, prior_mean=prior_mean, chol=chol,
+                       reference_mean=prior_mean, b_ref=b_ref, b_e=b_e, white=b_ref,
+                       jitter_used=jitter_used, gradient_mode=gradient_mode)
 
 
 def append(gp: GPSurrogate, ev: Evaluation) -> GPSurrogate:
@@ -345,17 +365,16 @@ def append(gp: GPSurrogate, ev: Evaluation) -> GPSurrogate:
     is re-solved. Matches a full refit at the same jitter to tight numerical
     tolerance.
     """
-    theta = _vector(ev.theta, gp.dim)
-    if gp.position(theta) is not None:
-        raise DuplicatePointError("theta already in training set")
+    data = gp.data.with_entry(ev)
+    theta = ev.theta
     if gp.gradient_mode and ev.grad is None:
         raise GradientModeError("joint-gradient surrogate requires gradients on append")
     width = 1 + gp.dim if gp.gradient_mode else 1
     if gp.gradient_mode:
-        cross = _joint_block_matrix(gp.x_train, theta[None, :], gp.hyper)
+        cross = _joint_block_matrix(gp.data.thetas(), theta[None, :], gp.hyper)
         corner = _joint_block_matrix(theta[None, :], theta[None, :], gp.hyper)
     else:
-        cross = _se_matrix(gp.x_train, theta[None, :], gp.hyper)
+        cross = _se_matrix(gp.data.thetas(), theta[None, :], gp.hyper)
         corner = np.array([[gp.hyper.signal_variance]])
     corner = corner + gp.jitter_used * np.eye(width)
     w = solve_triangular(gp.chol, cross, lower=True, check_finite=False)
@@ -381,19 +400,7 @@ def append(gp: GPSurrogate, ev: Evaluation) -> GPSurrogate:
     b_e = np.concatenate([gp.b_e, block[:, 1]])
     white = np.concatenate([gp.white, block[:, 0] - (gp.prior_mean - gp.reference_mean)
                             * block[:, 1]])
-
-    x_train = np.vstack([gp.x_train, theta[None, :]])
-    y_train = np.append(gp.y_train, ev.log_lik)
-    grad_train = None
-    if gp.gradient_mode:
-        grad_train = np.vstack([gp.grad_train, grad_new])
-    index = dict(gp.train_index)
-    index[_key(theta)] = gp.n_train
-    return GPSurrogate(hyper=gp.hyper, x_train=x_train, y_train=y_train,
-                       grad_train=grad_train, prior_mean=gp.prior_mean, chol=chol,
-                       reference_mean=gp.reference_mean, b_ref=b_ref, b_e=b_e,
-                       white=white, jitter_used=gp.jitter_used,
-                       gradient_mode=gp.gradient_mode, train_index=index)
+    return replace(gp, data=data, chol=chol, b_ref=b_ref, b_e=b_e, white=white)
 
 
 def predict(gp: GPSurrogate, theta) -> SurrogatePrediction:
@@ -402,13 +409,13 @@ def predict(gp: GPSurrogate, theta) -> SurrogatePrediction:
     A point already in the training set is served exactly with zero variance.
     """
     theta = _vector(theta, gp.dim)
-    pos = gp.position(theta)
+    pos = gp.data.position(theta)
     if pos is not None:
-        return SurrogatePrediction(mean=float(gp.y_train[pos]), variance=0.0)
+        return SurrogatePrediction(mean=float(gp.data.values()[pos]), variance=0.0)
     if gp.gradient_mode:
-        cross = _joint_block_matrix(gp.x_train, theta[None, :], gp.hyper)[:, 0]
+        cross = _joint_block_matrix(gp.data.thetas(), theta[None, :], gp.hyper)[:, 0]
     else:
-        cross = _se_matrix(gp.x_train, theta[None, :], gp.hyper)[:, 0]
+        cross = _se_matrix(gp.data.thetas(), theta[None, :], gp.hyper)[:, 0]
     w = solve_triangular(gp.chol, cross, lower=True, check_finite=False)
     mean = gp.prior_mean + float(w @ gp.white)
     variance = max(gp.hyper.signal_variance - float(w @ w), 0.0)
@@ -421,12 +428,12 @@ def predict_joint(gp: GPSurrogate, theta) -> SurrogatePrediction:
         raise GradientModeError("predict_joint requires a joint-gradient surrogate")
     theta = _vector(theta, gp.dim)
     d = gp.dim
-    pos = gp.position(theta)
+    pos = gp.data.position(theta)
     if pos is not None:
-        return SurrogatePrediction(mean=float(gp.y_train[pos]), variance=0.0,
-                                   grad_mean=gp.grad_train[pos].copy(),
+        return SurrogatePrediction(mean=float(gp.data.values()[pos]), variance=0.0,
+                                   grad_mean=gp.data.grads()[pos].copy(),
                                    joint_cov=np.zeros((1 + d, 1 + d)))
-    cross = _joint_block_matrix(gp.x_train, theta[None, :], gp.hyper)
+    cross = _joint_block_matrix(gp.data.thetas(), theta[None, :], gp.hyper)
     w = solve_triangular(gp.chol, cross, lower=True, check_finite=False)
     joint_mean = w.T @ gp.white
     joint_mean[0] += gp.prior_mean

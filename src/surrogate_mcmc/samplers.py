@@ -7,13 +7,13 @@ evaluation and the acceptance ratios; ``_run_exact`` and ``_run_two_stage``
 are the only chain loops. The two-stage loop keeps these rules:
   * the surrogate's constant prior mean is refreshed to the exact
     log-likelihood of the current state every time the state changes;
-  * exact quantities for the current state are always served from the
-    evaluation ledger, never re-predicted;
-  * every stage-1 acceptance triggers exactly one exact evaluation, and the
-    result is appended to the surrogate and the ledger (finite values only);
-    an append the kernel cannot factorise is skipped in both and counted;
+  * exact quantities for the current state are always served from its
+    state snapshot, never re-predicted;
+  * every stage-1 acceptance costs exactly one exact evaluation; a finite,
+    new one below ``ledger_cap`` is appended to the surrogate, the only store
+    of training data, and one the kernel cannot factorise is skipped and counted;
   * kernel hyperparameters are re-optimised every ``hyper_update_every``
-    ledger growths during burn-in and frozen afterwards.
+    surrogate growths during burn-in and frozen afterwards.
 """
 
 from __future__ import annotations
@@ -196,9 +196,8 @@ def init_ledger(target: TargetInstance, theta0, config: SamplerConfig,
         rng = _mk_rng(config.seed)
     theta0 = _vector(theta0, target.dim)
     state = _start_state(target, theta0, with_grad=gradient_mode)
-    ledger = EvaluationLedger()
-    ledger.append(Evaluation(theta=theta0, log_lik=state.exact_ll,
-                             grad=state.exact_grad_ll))
+    ledger = EvaluationLedger([Evaluation(theta=theta0, log_lik=state.exact_ll,
+                                          grad=state.exact_grad_ll)])
     n_evals = 1
     if config.mala is not None and gradient_mode:
         scale_noise = lambda z: math.sqrt(config.mala.delta) * (config.mala.precond_sqrt @ z)
@@ -224,7 +223,7 @@ def init_ledger(target: TargetInstance, theta0, config: SamplerConfig,
                 break
         if entry is None:
             raise InitializationError("could not find finite initial design points")
-        ledger.append(entry)
+        ledger = ledger.with_entry(entry)
     return ledger, n_evals
 
 
@@ -418,7 +417,7 @@ def _run_two_stage(kind, config: SamplerConfig, theta0, algo: str) -> ChainTrace
         decision = replace(decision, accepted=True)
         ll, grad = kind.evaluate(proposal)
         try:
-            grew = _maybe_append(ledger, gp, config, proposal, ll, grad)
+            grew = _maybe_append(gp, config, proposal, ll, grad)
         except kernelgp.IllConditionedKernelError:
             grew = None
             skipped_appends += 1
@@ -433,30 +432,23 @@ def _run_two_stage(kind, config: SamplerConfig, theta0, algo: str) -> ChainTrace
         tr.record(k, state.theta, decision.log_alpha1_forward, True,
                   log_alpha2, accepted2, True)
         if k < config.n_burnin and appends_since_opt >= config.hyper_update_every:
-            hyper = kernelgp.optimize_hypers(ledger, gp.hyper, state.exact_ll,
+            hyper = kernelgp.optimize_hypers(gp.data, gp.hyper, state.exact_ll,
                                              config.hyper_opt_budget,
                                              gradient_mode=gradient_mode)
-            gp = kernelgp.fit(ledger, hyper, prior_mean=state.exact_ll,
+            gp = kernelgp.fit(gp.data, hyper, prior_mean=state.exact_ll,
                               gradient_mode=gradient_mode)
             appends_since_opt = 0
-    return tr.finish(config, algo, True, init_evals, len(ledger), started,
+    return tr.finish(config, algo, True, init_evals, gp.n_train, started,
                      skipped_appends)
 
 
-def _maybe_append(ledger: EvaluationLedger, gp, config: SamplerConfig,
-                  theta, ll: float, grad):
-    """Grow surrogate and ledger with a finite evaluation, respecting the cap.
-
-    The surrogate grows first, so an ``IllConditionedKernelError`` from it
-    leaves the ledger as it was and the two stay in step.
-    """
+def _maybe_append(gp, config: SamplerConfig, theta, ll: float, grad):
+    """The surrogate grown by a finite, new evaluation below the cap, else
+    ``None``; ``gp`` itself is never changed."""
     if not math.isfinite(ll):
         return None
-    if config.ledger_cap is not None and len(ledger) >= config.ledger_cap:
+    if config.ledger_cap is not None and gp.n_train >= config.ledger_cap:
         return None
-    if ledger.position(theta) is not None:
+    if gp.data.position(theta) is not None:
         return None
-    ev = Evaluation(theta=theta, log_lik=ll, grad=grad)
-    grown = kernelgp.append(gp, ev)
-    ledger.append(ev)
-    return grown
+    return kernelgp.append(gp, Evaluation(theta=theta, log_lik=ll, grad=grad))

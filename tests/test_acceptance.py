@@ -211,9 +211,8 @@ def test_c07_screening_kernel_detailed_balance(report):
     # reversible for the density proportional to exp(mu + k/2) * prior when
     # the current-state value is the surrogate's own lognormal mean.
     grid = np.linspace(-3.0, 3.0, 41)
-    ledger = EvaluationLedger()
-    for x in (-2.0, -1.0, 0.0, 1.0, 2.0):
-        ledger.append(Evaluation(theta=np.array([x]), log_lik=-0.5 * x * x))
+    ledger = EvaluationLedger(Evaluation(theta=np.array([x]), log_lik=-0.5 * x * x)
+                              for x in (-2.0, -1.0, 0.0, 1.0, 2.0))
     hyper = KernelHyper(lengthscales=np.array([1.0]), signal_variance=1.0)
     gp = kernelgp.fit(ledger, hyper, prior_mean=0.0)
 

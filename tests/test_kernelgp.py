@@ -543,11 +543,45 @@ def test_ill_conditioned_kernel_raises_after_escalation():
 def test_ledger_rejects_duplicates_and_dim_mismatch():
     ledger = make_ledger([[0.0, 1.0]], [1.0])
     with pytest.raises(DuplicatePointError):
-        ledger.append(Evaluation(theta=np.array([0.0, 1.0]), log_lik=2.0))
+        ledger.with_entry(Evaluation(theta=np.array([0.0, 1.0]), log_lik=2.0))
     with pytest.raises(ValueError):
-        ledger.append(Evaluation(theta=np.array([0.0]), log_lik=2.0))
+        ledger.with_entry(Evaluation(theta=np.array([0.0]), log_lik=2.0))
+    with pytest.raises(DuplicatePointError):
+        make_ledger([[0.0, 1.0], [0.5, 0.5], [0.0, 1.0]], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError):
+        EvaluationLedger([Evaluation(theta=np.array([0.0, 1.0]), log_lik=1.0),
+                          Evaluation(theta=np.array([0.0]), log_lik=2.0)])
+    assert len(ledger) == 1
     assert ledger.position([0.0, 1.0]) == 0
     assert ledger.position([0.0, 2.0]) is None
+
+
+def test_ledger_with_entry_leaves_parent_and_is_the_fitted_training_set():
+    rng = np.random.default_rng(21)
+    ledger = EvaluationLedger(Evaluation(theta=t, log_lik=-0.5 * float(t @ t), grad=-t)
+                              for t in rng.standard_normal((4, 2)))
+    thetas, values, grads = (ledger.thetas().copy(), ledger.values().copy(),
+                             ledger.grads().copy())
+    new = Evaluation(theta=np.array([3.0, -3.0]), log_lik=-9.0, grad=np.array([-3.0, 3.0]))
+    grown = ledger.with_entry(new)
+    sibling = ledger.with_entry(Evaluation(theta=np.array([-3.0, 3.0]), log_lik=-9.0))
+    assert len(ledger) == 4 and ledger.position(new.theta) is None
+    assert np.array_equal(ledger.thetas(), thetas)
+    assert np.array_equal(ledger.values(), values)
+    assert np.array_equal(ledger.grads(), grads)
+    assert len(grown) == len(sibling) == 5
+    assert grown.position(new.theta) == 4 and sibling.position(new.theta) is None
+    assert np.array_equal(grown[4].grad, new.grad)
+    with pytest.raises(GradientModeError):
+        sibling.grads()
+    for arr in (ledger.thetas(), ledger.values(), ledger.grads(), grown.thetas()):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    for gradient_mode in (False, True):
+        gp = fit(ledger, HYPER_2D, prior_mean=0.0, gradient_mode=gradient_mode)
+        assert gp.data is ledger
+        assert append(gp, new).data.position(new.theta) == 4
+        assert len(gp.data) == 4
 
 
 def test_evaluation_requires_finite_values():

@@ -254,12 +254,15 @@ SINGULAR_HYPER = KernelHyper(lengthscales=(1.0,), signal_variance=1.0, jitter=1e
 def test_ill_conditioned_append_leaves_ledger_and_surrogate_in_step():
     ledger = EvaluationLedger([Evaluation(theta=np.zeros(1), log_lik=-0.5)])
     gp = kernelgp.fit(ledger, SINGULAR_HYPER, prior_mean=-0.5)
+    chol, white = gp.chol.copy(), gp.white.copy()
     config = gauss_config(init_hyper=SINGULAR_HYPER, gp_init_count=1)
     with pytest.raises(kernelgp.IllConditionedKernelError):
-        _maybe_append(ledger, gp, config, np.array([1e-13]), -0.5, None)
-    assert len(ledger) == gp.n_train == 1
-    grown = _maybe_append(ledger, gp, config, np.array([1.0]), -1.0, None)
-    assert len(ledger) == grown.n_train == 2
+        _maybe_append(gp, config, np.array([1e-13]), -0.5, None)
+    assert gp.n_train == len(gp.data) == 1 and gp.data is ledger
+    assert np.array_equal(gp.chol, chol) and np.array_equal(gp.white, white)
+    grown = _maybe_append(gp, config, np.array([1.0]), -1.0, None)
+    assert grown.n_train == len(grown.data) == 2
+    assert gp.n_train == 1
 
 
 def test_two_stage_chain_skips_and_counts_singular_appends():
@@ -414,9 +417,8 @@ def test_stage1_detailed_balance_on_grid():
     # proportional to exp(mu + k/2) * prior when the current-state value is
     # the surrogate's own lognormal mean.
     grid = np.linspace(-3.0, 3.0, 41)
-    ledger = EvaluationLedger()
-    for x in (-2.0, -1.0, 0.0, 1.0, 2.0):
-        ledger.append(Evaluation(theta=np.array([x]), log_lik=-0.5 * x * x))
+    ledger = EvaluationLedger(Evaluation(theta=np.array([x]), log_lik=-0.5 * x * x)
+                              for x in (-2.0, -1.0, 0.0, 1.0, 2.0))
     hyper = KernelHyper(lengthscales=np.array([1.0]), signal_variance=1.0)
     gp = kernelgp.fit(ledger, hyper, prior_mean=0.0)
 
