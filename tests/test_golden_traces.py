@@ -23,9 +23,9 @@ on the BLAS thread count: with more threads a BLAS call can sum in another
 order, and the gp-mala log-alpha columns move in their last bits. The
 variables act only if set before numpy loads, which a fresh interpreter
 guarantees; the child also reports the thread count of each OpenBLAS it
-loaded, and every test fails unless that is 1. The four gp-mala CSV hashes
-were regenerated when this pin was added (the default of two threads had
-recorded them); every other entry stayed as it was.
+loaded, and every test fails unless each count is 1. The four gp-mala CSV
+hashes were regenerated when this pin was added (they had been recorded
+under the BLAS default thread count); every other entry stayed as it was.
 
 The hashes pin this machine's floating-point numerics (numpy, BLAS and
 scipy builds). Regenerate them only in a change that alters the numerics
@@ -150,7 +150,9 @@ def openblas_threads() -> list:
         for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
                      "openblas_get_num_threads64_", "openblas_get_num_threads"):
             if hasattr(lib, name):
-                counts.append(getattr(lib, name)())
+                get_num_threads = getattr(lib, name)
+                get_num_threads.argtypes, get_num_threads.restype = [], ctypes.c_int
+                counts.append(get_num_threads())
                 break
     return counts
 
@@ -171,7 +173,7 @@ def pinned_results() -> dict:
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     threads = doc["openblas_threads"]
-    assert threads and set(threads) == {1}, f"BLAS not pinned to one thread: {threads}"
+    assert threads and set(threads) == {1}, f"one-thread BLAS not confirmed: {threads}"
     return {tuple(case): tuple(result) for case, result in doc["cases"]}
 
 
