@@ -27,7 +27,7 @@ from .diagnostics import MetricsReport, aggregate_metrics, build_metrics
 from .samplers import SamplerConfig, run_gp_mala, run_gp_mh, run_mala, run_mh
 from .targets import make_target
 
-SCHEMA_VERSION = "1.1"
+SCHEMA_VERSION = "1.2"
 SEED_ENV_VAR = "SURROGATE_MCMC_SEED"
 
 ALGORITHMS = {"mh": run_mh, "mala": run_mala, "gp-mh": run_gp_mh, "gp-mala": run_gp_mala}

@@ -116,6 +116,7 @@ class MetricsReport:
     seed: int = 0
     wall_clock_seconds: float = 0.0
     skipped_appends: int = 0
+    skipped_refits: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -132,6 +133,7 @@ class MetricsReport:
             "seed": self.seed,
             "wall_clock_seconds": self.wall_clock_seconds,
             "skipped_appends": self.skipped_appends,
+            "skipped_refits": self.skipped_refits,
         }
 
 
@@ -165,6 +167,7 @@ def build_metrics(trace: ChainTrace, true_params, *, eval_denominator: int | Non
         seed=trace.seed,
         wall_clock_seconds=trace.wall_clock_seconds,
         skipped_appends=trace.skipped_appends,
+        skipped_refits=trace.skipped_refits,
     )
 
 

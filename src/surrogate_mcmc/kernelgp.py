@@ -12,6 +12,11 @@ the constant prior mean is then an O(N) vector update, an append extends
 both by one forward-substitution block, and a prediction reads its mean off
 the same L^-1 k* it needs for the variance; nothing calls a full
 Cholesky solve.
+
+A fit assembles K into a buffer of its own, adds the jitter to the diagonal
+and factors it in place with LAPACK potrf. If K is not numerically positive
+definite, the jitter is raised by a decade and K is assembled afresh, up to
+``_JITTER_DECADES`` times, before ``IllConditionedKernelError`` is raised.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf
 from scipy.optimize import minimize
 
 DEFAULT_JITTER_FACTOR = 1e-10
@@ -226,26 +232,74 @@ def se_kernel_derivative_blocks(x, y, hyper: KernelHyper):
     return k, dk_dy, d2
 
 
+# Below this many (row, column) pairs a kernel matrix is built in one
+# broadcast: fewer numpy calls, and the temporaries stay small. Above it each
+# input dimension is taken in turn, so nothing larger than the output is built.
+_SMALL_GRID = 1024
+
+
 def _se_matrix(xa: np.ndarray, xb: np.ndarray, hyper: KernelHyper) -> np.ndarray:
-    diff = (xa[:, None, :] - xb[None, :, :]) / hyper.lengthscales
-    return hyper.signal_variance * np.exp(-0.5 * np.einsum("ijk,ijk->ij", diff, diff))
+    if xa.shape[0] * xb.shape[0] < _SMALL_GRID:
+        diff = (xa[:, None, :] - xb[None, :, :]) / hyper.lengthscales
+        return hyper.signal_variance * np.exp(-0.5 * np.einsum("ijk,ijk->ij", diff, diff))
+    kmat = np.zeros((xa.shape[0], xb.shape[0]))
+    term = np.empty_like(kmat)
+    for a, ell in enumerate(hyper.lengthscales):
+        np.subtract.outer(xa[:, a], xb[:, a], out=term)
+        term /= ell
+        term *= term
+        kmat += term
+    kmat *= -0.5
+    np.exp(kmat, out=kmat)
+    kmat *= hyper.signal_variance
+    return kmat
 
 
 def _joint_block_matrix(xa: np.ndarray, xb: np.ndarray, hyper: KernelHyper) -> np.ndarray:
-    """Covariance of stacked [f, grad f] observation blocks, one per point."""
+    """Covariance of stacked [f, grad f] observation blocks, one per point.
+
+    Block (i, j) is [[k, dk/dy], [-dk/dy', d2k/dxdy]] at (xa[i], xb[j]),
+    with the terms of ``se_kernel_derivative_blocks``.
+    """
     n, d = xa.shape
     m = xb.shape[0]
     inv2 = 1.0 / hyper.lengthscales**2
-    diff = xa[:, None, :] - xb[None, :, :]
-    k0 = hyper.signal_variance * np.exp(-0.5 * np.einsum("ijk,k,ijk->ij", diff, inv2, diff))
-    dk = k0[:, :, None] * diff * inv2  # d k / d y
-    u = diff * inv2
-    d2 = k0[:, :, None, None] * (np.diag(inv2)[None, None] - u[:, :, :, None] * u[:, :, None, :])
     blocks = np.empty((n, 1 + d, m, 1 + d))
+    if n * m < _SMALL_GRID:
+        diff = xa[:, None, :] - xb[None, :, :]
+        k0 = hyper.signal_variance * np.exp(-0.5 * np.einsum("ijk,k,ijk->ij", diff, inv2,
+                                                             diff))
+        dk = k0[:, :, None] * diff * inv2  # d k / d y
+        u = diff * inv2
+        d2 = k0[:, :, None, None] * (np.diag(inv2)[None, None]
+                                     - u[:, :, :, None] * u[:, :, None, :])
+        blocks[:, 0, :, 0] = k0
+        blocks[:, 0, :, 1:] = dk
+        blocks[:, 1:, :, 0] = -np.transpose(dk, (0, 2, 1))
+        blocks[:, 1:, :, 1:] = np.transpose(d2, (0, 2, 1, 3))
+        return blocks.reshape(n * (1 + d), m * (1 + d))
+    diff = xa.T[:, :, None] - xb.T[:, None, :]  # (d, n, m)
+    u = diff * inv2[:, None, None]
+    k0 = np.zeros((n, m))
+    for a in range(d):
+        k0 += u[a] * diff[a]
+    k0 *= -0.5
+    np.exp(k0, out=k0)
+    k0 *= hyper.signal_variance
     blocks[:, 0, :, 0] = k0
-    blocks[:, 0, :, 1:] = dk
-    blocks[:, 1:, :, 0] = -np.transpose(dk, (0, 2, 1))
-    blocks[:, 1:, :, 1:] = np.transpose(d2, (0, 2, 1, 3))
+    term = np.empty((n, m))
+    for a in range(d):
+        dk = blocks[:, 0, :, 1 + a]
+        np.multiply(k0, diff[a], out=dk)
+        dk *= inv2[a]
+        np.negative(dk, out=blocks[:, 1 + a, :, 0])
+        # d2k is symmetric in (a, b): each pair is computed once and mirrored
+        for b in range(a, d):
+            np.multiply(u[a], u[b], out=term)
+            np.subtract(inv2[a] if a == b else 0.0, term, out=term)
+            np.multiply(k0, term, out=blocks[:, 1 + a, :, 1 + b])
+            if b != a:
+                blocks[:, 1 + b, :, 1 + a] = blocks[:, 1 + a, :, 1 + b]
     return blocks.reshape(n * (1 + d), m * (1 + d))
 
 
@@ -257,14 +311,23 @@ def _query_prior_block(hyper: KernelHyper) -> np.ndarray:
     return block
 
 
-def _stable_cholesky(kmat: np.ndarray, jitter: float) -> tuple[np.ndarray, float]:
-    n = kmat.shape[0]
+def _stable_cholesky(assemble, jitter: float) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of ``assemble() + level I`` and the level used.
+
+    ``assemble`` returns a fresh C-ordered symmetric matrix on every call.
+    potrf factors it in place: its transpose is a Fortran-ordered view of
+    the same matrix, whose upper factor L' leaves L in the buffer. A failed
+    attempt has overwritten its buffer, so each escalation assembles anew.
+    """
     level = jitter
     for _ in range(_JITTER_DECADES + 1):
-        try:
-            return np.linalg.cholesky(kmat + level * np.eye(n)), level
-        except np.linalg.LinAlgError:
-            level *= 10.0
+        kmat = assemble()
+        n = kmat.shape[0]
+        kmat.reshape(-1)[::n + 1] += level
+        factor, info = dpotrf(kmat.T, lower=False, overwrite_a=True, clean=True)
+        if info == 0:
+            return factor.T, level
+        level *= 10.0
     raise IllConditionedKernelError(
         f"cholesky failed for {n}x{n} kernel matrix after jitter escalation to {level / 10.0:g}"
     )
@@ -344,15 +407,11 @@ def fit(ledger: EvaluationLedger, hyper: KernelHyper, prior_mean: float,
     prior_mean = float(prior_mean)
     if not math.isfinite(prior_mean):
         raise ValueError("prior_mean must be finite")
-    if gradient_mode:
-        kmat = _joint_block_matrix(x, x, hyper)
-    else:
-        kmat = _se_matrix(x, x, hyper)
-    chol, jitter_used = _stable_cholesky(kmat, hyper.jitter)
-    targets = _centered_targets(y, grads, prior_mean, gradient_mode)
-    b_ref = solve_triangular(chol, targets, lower=True, check_finite=False)
-    b_e = solve_triangular(chol, _value_rows(x.shape[0], x.shape[1], gradient_mode),
-                           lower=True, check_finite=False)
+    assemble = _joint_block_matrix if gradient_mode else _se_matrix
+    chol, jitter_used = _stable_cholesky(lambda: assemble(x, x, hyper), hyper.jitter)
+    rhs = np.column_stack([_centered_targets(y, grads, prior_mean, gradient_mode),
+                           _value_rows(x.shape[0], x.shape[1], gradient_mode)])
+    b_ref, b_e = solve_triangular(chol, rhs, lower=True, check_finite=False).T
     return GPSurrogate(hyper=hyper, data=ledger, prior_mean=prior_mean, chol=chol,
                        reference_mean=prior_mean, b_ref=b_ref, b_e=b_e, white=b_ref,
                        jitter_used=jitter_used, gradient_mode=gradient_mode)
@@ -491,7 +550,9 @@ def optimize_hypers(ledger: EvaluationLedger, init: KernelHyper, prior_mean: flo
         warnings.warn("hyperparameter search could not evaluate the initial point",
                       RuntimeWarning, stacklevel=2)
         return init
-    res = minimize(nll, z0, method="Nelder-Mead",
+    # the simplex's first vertex is z0 itself: serve it f0 rather than fit it again
+    res = minimize(lambda z: f0 if np.array_equal(z, z0) else nll(z), z0,
+                   method="Nelder-Mead",
                    options={"maxfev": int(budget), "xatol": 1e-3, "fatol": 1e-3,
                             "disp": False})
     if not np.isfinite(res.fun) or res.fun > f0:

@@ -13,7 +13,9 @@ are the only chain loops. The two-stage loop keeps these rules:
     new one below ``ledger_cap`` is appended to the surrogate, the only store
     of training data, and one the kernel cannot factorise is skipped and counted;
   * kernel hyperparameters are re-optimised every ``hyper_update_every``
-    surrogate growths during burn-in and frozen afterwards.
+    surrogate growths during burn-in and frozen afterwards; a refit whose
+    hyperparameters the kernel cannot factorise keeps the current surrogate
+    and is counted.
 """
 
 from __future__ import annotations
@@ -85,7 +87,9 @@ class ChainTrace:
     ``stage2_log_alpha`` is NaN on iterations stage 1 rejected; baselines
     mirror their single exact decision into both stages. ``skipped_appends``
     counts exact evaluations left out of the surrogate because appending
-    them made the kernel matrix singular.
+    them made the kernel matrix singular; ``skipped_refits`` counts
+    hyperparameter refits dropped because the refitted kernel matrix was
+    singular.
     """
 
     thetas: np.ndarray
@@ -102,6 +106,7 @@ class ChainTrace:
     ledger_size: int
     wall_clock_seconds: float
     skipped_appends: int = 0
+    skipped_refits: int = 0
 
     @property
     def n_iters(self) -> int:
@@ -140,7 +145,7 @@ class _TraceBuilder:
 
     def finish(self, config: SamplerConfig, algo: str, two_stage: bool,
                gp_init_evals: int, ledger_size: int, started: float,
-               skipped_appends: int = 0) -> ChainTrace:
+               skipped_appends: int = 0, skipped_refits: int = 0) -> ChainTrace:
         return ChainTrace(thetas=self.thetas, stage1_log_alpha=self.s1_log_alpha,
                           stage1_accepted=self.s1_accepted,
                           stage2_log_alpha=self.s2_log_alpha,
@@ -149,7 +154,8 @@ class _TraceBuilder:
                           seed=config.seed, gp_init_evals=gp_init_evals,
                           ledger_size=ledger_size,
                           wall_clock_seconds=time.perf_counter() - started,
-                          skipped_appends=skipped_appends)
+                          skipped_appends=skipped_appends,
+                          skipped_refits=skipped_refits)
 
 
 def _mk_rng(seed: int) -> np.random.Generator:
@@ -401,7 +407,7 @@ def _run_two_stage(kind, config: SamplerConfig, theta0, algo: str) -> ChainTrace
     tr = _TraceBuilder(config.n_iters, target.dim)
     started = time.perf_counter()
     appends_since_opt = 0
-    skipped_appends = 0
+    skipped_appends = skipped_refits = 0
     for k in range(config.n_iters):
         gp = gp.with_prior_mean(state.exact_ll)
         proposal, ctx = kind.propose(rng, state)
@@ -435,11 +441,14 @@ def _run_two_stage(kind, config: SamplerConfig, theta0, algo: str) -> ChainTrace
             hyper = kernelgp.optimize_hypers(gp.data, gp.hyper, state.exact_ll,
                                              config.hyper_opt_budget,
                                              gradient_mode=gradient_mode)
-            gp = kernelgp.fit(gp.data, hyper, prior_mean=state.exact_ll,
-                              gradient_mode=gradient_mode)
+            try:
+                gp = kernelgp.fit(gp.data, hyper, prior_mean=state.exact_ll,
+                                  gradient_mode=gradient_mode)
+            except kernelgp.IllConditionedKernelError:
+                skipped_refits += 1
             appends_since_opt = 0
     return tr.finish(config, algo, True, init_evals, gp.n_train, started,
-                     skipped_appends)
+                     skipped_appends, skipped_refits)
 
 
 def _maybe_append(gp, config: SamplerConfig, theta, ll: float, grad):

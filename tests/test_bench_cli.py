@@ -369,7 +369,7 @@ def test_bench_summary(tmp_path, capsys):
     assert str(summary_path) in out
     doc = read_metrics_doc(summary_path)
     assert doc["kind"] == "bench-summary"
-    assert doc["schema_version"] == "1.1"
+    assert doc["schema_version"] == "1.2"
     assert set(doc["rows"]) == {"mh", "gp-mh"}
     for algo in ("mh", "gp-mh"):
         row = doc["rows"][algo]

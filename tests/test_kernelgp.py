@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from surrogate_mcmc import kernelgp
 from surrogate_mcmc.kernelgp import (DuplicatePointError, Evaluation,
                                      EvaluationLedger, GradientModeError,
                                      IllConditionedKernelError, KernelHyper,
-                                     append, fit, log_marginal_likelihood,
-                                     optimize_hypers, predict, predict_joint,
-                                     se_kernel, se_kernel_derivative_blocks)
+                                     _joint_block_matrix, _se_matrix, append, fit,
+                                     log_marginal_likelihood, optimize_hypers,
+                                     predict, predict_joint, se_kernel,
+                                     se_kernel_derivative_blocks)
 
 HYPER_2D = KernelHyper(lengthscales=(1.0, 0.5), signal_variance=2.0)
 
@@ -98,6 +100,38 @@ def test_derivative_blocks_match_finite_differences():
                 assert d2[i, j] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
 
+# (rows, columns): the one-shot broadcast (a single column, few pairs) and the
+# dimension-by-dimension assembly (1024 pairs or more), square and rectangular
+MATRIX_SHAPES = [(1, 1), (5, 3), (60, 1), (40, 30), (33, 47)]
+
+
+@pytest.mark.parametrize("n,m", MATRIX_SHAPES)
+def test_se_matrix_matches_scalar_kernel(n, m):
+    rng = np.random.default_rng(n * 100 + m)
+    hyper = KernelHyper(lengthscales=(0.8, 1.7, 0.4), signal_variance=2.5)
+    xa, xb = rng.uniform(-1, 1, size=(n, 3)), rng.uniform(-1, 1, size=(m, 3))
+    expected = np.array([[se_kernel(a, b, hyper) for b in xb] for a in xa])
+    np.testing.assert_allclose(_se_matrix(xa, xb, hyper), expected, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("n,m", MATRIX_SHAPES)
+def test_joint_block_matrix_matches_derivative_blocks(n, m):
+    rng = np.random.default_rng(n * 100 + m)
+    d = 3
+    hyper = KernelHyper(lengthscales=(0.8, 1.7, 0.4), signal_variance=2.5)
+    xa, xb = rng.uniform(-1, 1, size=(n, d)), rng.uniform(-1, 1, size=(m, d))
+    blocks = _joint_block_matrix(xa, xb, hyper).reshape(n, 1 + d, m, 1 + d)
+    expected = np.empty_like(blocks)
+    for i, a in enumerate(xa):
+        for j, b in enumerate(xb):
+            k, dk_dy, d2 = se_kernel_derivative_blocks(a, b, hyper)
+            expected[i, 0, j, 0] = k
+            expected[i, 0, j, 1:] = dk_dy
+            expected[i, 1:, j, 0] = -dk_dy
+            expected[i, 1:, j, 1:] = d2
+    np.testing.assert_allclose(blocks, expected, rtol=1e-13, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # fit / predict
 
@@ -162,6 +196,45 @@ def test_two_point_closed_form_by_hand():
     pred = predict(gp, q)
     assert pred.mean == pytest.approx(mean, abs=1e-10)
     assert pred.variance == pytest.approx(var, abs=1e-10)
+
+
+@pytest.mark.parametrize("gradient_mode", [False, True])
+def test_fitted_factor_has_zero_strict_upper_triangle(gradient_mode):
+    rng = np.random.default_rng(21)
+    ledger = random_ledger(rng, 40, 2, with_grads=gradient_mode)
+    gp = fit(ledger, HYPER_2D, prior_mean=0.3, gradient_mode=gradient_mode)
+    size = gp.chol.shape[0]
+    assert size == 40 * (3 if gradient_mode else 1)
+    assert np.all(gp.chol[np.triu_indices(size, 1)] == 0.0)
+    assert np.all(np.diag(gp.chol) > 0.0)
+
+
+@pytest.mark.parametrize("gradient_mode", [False, True])
+def test_escalated_fit_factors_a_fresh_matrix(gradient_mode):
+    # the last input nearly repeats the first, so the first attempt fails; the
+    # factor must be that of K + jitter_used I, not of a buffer the failed
+    # attempt overwrote (the near-duplicate comes last so that only the final
+    # pivot is ill-conditioned and two correct factors agree to rounding)
+    hyper = KernelHyper(lengthscales=(1.0, 0.7), signal_variance=1.0, jitter=1e-16)
+    points = [[0.0, 0.0], [0.5, -0.3], [-0.4, 0.8], [1.1, 0.2], [3e-9, 0.0]]
+    grads = np.random.default_rng(4).standard_normal((5, 2)) if gradient_mode else None
+    ledger = make_ledger(points, [1.0, 0.2, -0.5, 0.7, 1.0], grads)
+    gp = fit(ledger, hyper, prior_mean=0.0, gradient_mode=gradient_mode)
+    assert gp.jitter_used > hyper.jitter
+    xs = ledger.thetas()
+    kmat = (_joint_block_matrix if gradient_mode else _se_matrix)(xs, xs, hyper)
+    direct = np.linalg.cholesky(kmat + gp.jitter_used * np.eye(kmat.shape[0]))
+    np.testing.assert_allclose(gp.chol, direct, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("gradient_mode", [False, True])
+def test_refitting_one_ledger_is_bit_reproducible(gradient_mode):
+    rng = np.random.default_rng(22)
+    ledger = random_ledger(rng, 40, 2, with_grads=gradient_mode)
+    first = fit(ledger, HYPER_2D, prior_mean=-0.2, gradient_mode=gradient_mode)
+    second = fit(ledger, HYPER_2D, prior_mean=-0.2, gradient_mode=gradient_mode)
+    for name in ("chol", "b_ref", "b_e"):
+        assert np.array_equal(getattr(first, name), getattr(second, name))
 
 
 def test_fit_empty_ledger_rejected():
@@ -495,6 +568,27 @@ def test_optimize_rejects_negative_budget():
     ledger = make_ledger([[0.0]], [0.0])
     with pytest.raises(ValueError):
         optimize_hypers(ledger, KernelHyper((1.0,), 1.0), 0.0, budget=-1)
+
+
+@pytest.mark.parametrize("gradient_mode", [False, True])
+def test_optimize_fits_at_most_budget_times(monkeypatch, gradient_mode):
+    # the simplex's first vertex is the start point: it must not be fitted twice
+    rng = np.random.default_rng(17)
+    ledger = random_ledger(rng, 12, 2, with_grads=gradient_mode)
+    init = KernelHyper(lengthscales=(2.0, 0.3), signal_variance=1.5)
+    calls = []
+    real_fit = kernelgp.fit
+
+    def counting_fit(*args, **kwargs):
+        calls.append(args)
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(kernelgp, "fit", counting_fit)
+    for budget in (1, 2, 15):
+        calls.clear()
+        optimize_hypers(ledger, init, prior_mean=0.0, budget=budget,
+                        gradient_mode=gradient_mode)
+        assert 1 <= len(calls) <= budget
 
 
 def test_optimize_recovers_lengthscale():

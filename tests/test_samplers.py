@@ -277,6 +277,29 @@ def test_two_stage_chain_skips_and_counts_singular_appends():
     assert report.to_dict()["skipped_appends"] == trace.skipped_appends
 
 
+def test_two_stage_chain_keeps_its_surrogate_when_a_refit_is_singular(monkeypatch):
+    real_fit = kernelgp.fit
+    sizes = []
+
+    def fit_singular_at_first_refit(ledger, *args, **kwargs):
+        sizes.append(len(ledger))
+        if len(sizes) == 2:
+            raise kernelgp.IllConditionedKernelError("singular refit")
+        return real_fit(ledger, *args, **kwargs)
+
+    # with no search budget, every fit after the initial one is a refit's
+    monkeypatch.setattr(kernelgp, "fit", fit_singular_at_first_refit)
+    target = standard_normal_target(1)
+    config = gauss_config(hyper_update_every=5, hyper_opt_budget=0, seed=2)
+    trace = run_gp_mh(target, config, np.zeros(1))
+    assert len(sizes) > 2  # the chain went on and refit again later
+    assert trace.n_iters == config.n_iters
+    assert trace.skipped_refits == 1
+    assert trace.n_full_evals == target.eval_count
+    report = build_metrics(trace, target.true_params)
+    assert report.to_dict()["skipped_refits"] == 1
+
+
 def test_infinite_prior_shortcut():
     target = bounded_prior_target(bound=0.5)
     config = SamplerConfig(proposal_scales=(2.0,), n_iters=300, n_burnin=50, seed=8)
