@@ -100,9 +100,10 @@ def test_derivative_blocks_match_finite_differences():
                 assert d2[i, j] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
 
-# (rows, columns): the one-shot broadcast (a single column, few pairs) and the
-# dimension-by-dimension assembly (1024 pairs or more), square and rectangular
-MATRIX_SHAPES = [(1, 1), (5, 3), (60, 1), (40, 30), (33, 47)]
+# (rows, columns): the one-shot broadcast (under 1024 pairs) and the
+# dimension-by-dimension assembly (1024 pairs or more), each with a single
+# column as the predictions of a large ledger build it, square and rectangular
+MATRIX_SHAPES = [(1, 1), (5, 3), (60, 1), (1100, 1), (40, 30), (33, 47)]
 
 
 @pytest.mark.parametrize("n,m", MATRIX_SHAPES)
