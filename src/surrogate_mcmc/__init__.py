@@ -5,10 +5,10 @@ survive a cheap surrogate-based pre-acceptance test; a second exact stage
 keeps the chain's stationary distribution untouched.
 """
 
-from .acceptance import (MalaProposalParams, Stage1Decision, StageOrderError,
-                         StateSnapshot, gaussian_quadratic_expectation,
-                         lognormal_mean_log, mala_drift,
-                         mala_marginal_log_factor, proposal_log_density,
+from .acceptance import (MalaProposalParams, StateSnapshot,
+                         gaussian_quadratic_expectation, lognormal_mean_log,
+                         mala_drift, mala_marginal_log_factor,
+                         proposal_log_density,
                          stage1_log_alpha_mala, stage1_log_alpha_mh,
                          stage2_log_alpha_mala, stage2_log_alpha_mh)
 from .diagnostics import (DegenerateChainError, MetricsReport, acceptance_rate,
@@ -29,7 +29,7 @@ from .targets import (CapabilityError, DomainError, OdeSolverError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "MalaProposalParams", "Stage1Decision", "StageOrderError", "StateSnapshot",
+    "MalaProposalParams", "StateSnapshot",
     "gaussian_quadratic_expectation", "lognormal_mean_log", "mala_drift",
     "mala_marginal_log_factor", "proposal_log_density",
     "stage1_log_alpha_mala", "stage1_log_alpha_mh", "stage2_log_alpha_mala",

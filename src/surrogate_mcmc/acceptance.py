@@ -4,7 +4,21 @@ Stage 1 screens a proposal with the surrogate marginalised out of the
 acceptance ratio: for a Gaussian predictive value the marginal likelihood
 factor is lognormal, contributing exp(mean + variance/2). Stage 2 corrects
 with the exact log-likelihood so the composed kernel targets the exact
-posterior. All ratios are formed in log domain.
+posterior. All ratios are formed in log domain and every stage function
+returns its log acceptance as a plain float:
+
+  * ``stage1_log_alpha_mh`` and ``stage1_log_alpha_mala`` give log alpha_1
+    from the current state's snapshot and the surrogate's prediction at the
+    proposal; the Langevin screen also takes the forward proposal density
+    log q(proposal | current), computed once per move by its caller;
+  * ``stage2_log_alpha_mh`` needs only the exact log-likelihood at the
+    proposal and the stage-1 prediction;
+  * ``stage2_log_alpha_mala`` needs only the one-stage exact log ratio r and
+    log alpha_1, the same r a one-stage Langevin chain accepts with.
+
+Both stage-2 rules take the surrogate to be exact at the current state
+(its exact value, zero variance), which holds only while the current state
+is one of the surrogate's training points.
 """
 
 from __future__ import annotations
@@ -16,10 +30,6 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .kernelgp import SurrogatePrediction, _vector
-
-
-class StageOrderError(RuntimeError):
-    """Stage-2 correction requested for a proposal stage 1 did not accept."""
 
 
 @dataclass(frozen=True)
@@ -43,16 +53,6 @@ class StateSnapshot:
             if not np.all(np.isfinite(g)):
                 raise ValueError("exact_grad_ll must be finite")
             object.__setattr__(self, "exact_grad_ll", g)
-
-
-@dataclass(frozen=True)
-class Stage1Decision:
-    """Stage-1 log acceptance with the prediction cached for stage 2."""
-
-    log_alpha1_forward: float
-    log_ratio_r: float
-    accepted: bool
-    prediction: SurrogatePrediction | None
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def mala_drift(theta, grad_ll, grad_log_prior, params: MalaProposalParams) -> np
 # random-walk stages
 
 def stage1_log_alpha_mh(current: StateSnapshot, proposal_theta, pred: SurrogatePrediction,
-                        proposal_log_prior: float, log_q_ratio: float = 0.0) -> Stage1Decision:
+                        proposal_log_prior: float, log_q_ratio: float = 0.0) -> float:
     """Stage-1 log acceptance for a random-walk proposal.
 
     The surrogate value enters through its lognormal mean, exp(mean + var/2);
@@ -153,30 +153,21 @@ def stage1_log_alpha_mh(current: StateSnapshot, proposal_theta, pred: SurrogateP
     """
     _require_finite("stage1_log_alpha_mh", pred.mean, pred.variance,
                     proposal_log_prior, log_q_ratio)
-    log_ratio_r = (lognormal_mean_log(pred.mean, pred.variance)
-                   + float(proposal_log_prior) + float(log_q_ratio)
-                   - current.exact_ll - current.log_prior)
-    return Stage1Decision(log_alpha1_forward=min(0.0, log_ratio_r),
-                          log_ratio_r=log_ratio_r, accepted=False, prediction=pred)
+    return min(0.0, lognormal_mean_log(pred.mean, pred.variance)
+               + float(proposal_log_prior) + float(log_q_ratio)
+               - current.exact_ll - current.log_prior)
 
 
-def stage2_log_alpha_mh(current: StateSnapshot, proposal_exact_ll: float,
-                        stage1: Stage1Decision, proposal_log_prior: float,
-                        log_q_ratio: float = 0.0) -> float:
+def stage2_log_alpha_mh(proposal_exact_ll: float, pred: SurrogatePrediction) -> float:
     """Stage-2 log acceptance given the exact log-likelihood at the proposal.
 
     The full second-stage ratio, exact-likelihood ratio times reverse over
-    forward stage-1 acceptance, reduces to min(0, exact - mean - var/2): the
-    prior and proposal terms cancel, so ``proposal_log_prior`` and
-    ``log_q_ratio`` are only checked for finiteness.
+    forward stage-1 acceptance, reduces to min(0, exact - mean - var/2) with
+    ``pred`` the stage-1 prediction: the prior and proposal terms cancel.
     """
-    if not stage1.accepted:
-        raise StageOrderError("stage 2 requires a stage-1 accepted proposal")
-    _require_finite("stage2_log_alpha_mh", proposal_log_prior, log_q_ratio)
     proposal_exact_ll = float(proposal_exact_ll)
     if math.isnan(proposal_exact_ll) or proposal_exact_ll == math.inf:
         raise ValueError("proposal_exact_ll must not be NaN or +inf")
-    pred = stage1.prediction
     return min(0.0, proposal_exact_ll - lognormal_mean_log(pred.mean, pred.variance))
 
 
@@ -227,74 +218,43 @@ def mala_marginal_log_factor(mu: float, grad_mu, joint_cov, c,
 
 
 def stage1_log_alpha_mala(current: StateSnapshot, proposal_theta,
-                          joint_pred: SurrogatePrediction, prior_grads,
-                          proposal_log_prior: float,
-                          params: MalaProposalParams) -> Stage1Decision:
+                          joint_pred: SurrogatePrediction, proposal_log_prior: float,
+                          grad_prior_star, log_q_forward: float,
+                          params: MalaProposalParams) -> float:
     """Stage-1 log acceptance for a Langevin proposal with the joint surrogate
     (value and gradient) marginalised out of the numerator.
 
     The denominator is deterministic: the current state's exact value and
-    gradient define both its likelihood factor and the forward proposal
-    density. ``prior_grads`` is (grad_log_prior(current), grad_log_prior(proposal)).
+    the forward proposal density ``log_q_forward``, log q(proposal|current)
+    under the drift of the current state's exact gradient.
+    ``grad_prior_star`` is grad_log_prior(proposal).
     """
-    if current.exact_grad_ll is None:
-        raise ValueError("current state must carry an exact gradient")
     if joint_pred.grad_mean is None or joint_pred.joint_cov is None:
         raise ValueError("stage 1 for Langevin proposals needs a joint prediction")
     theta_star = _vector(proposal_theta, params.dim)
-    grad_prior_current, grad_prior_star = prior_grads
-    grad_prior_current = _vector(grad_prior_current, params.dim)
     grad_prior_star = _vector(grad_prior_star, params.dim)
     _require_finite("stage1_log_alpha_mala", joint_pred.mean, joint_pred.grad_mean,
-                    joint_pred.joint_cov, proposal_log_prior,
-                    grad_prior_current, grad_prior_star)
+                    joint_pred.joint_cov, proposal_log_prior, grad_prior_star,
+                    log_q_forward)
 
     c = current.theta - theta_star - 0.5 * params.delta * (params.precond @ grad_prior_star)
     log_num = (float(proposal_log_prior)
                + mala_marginal_log_factor(joint_pred.mean, joint_pred.grad_mean,
                                           joint_pred.joint_cov, c, params)
                + proposal_log_density(c, params))
-
-    forward_mean = mala_drift(current.theta, current.exact_grad_ll,
-                              grad_prior_current, params)
-    log_den = (current.exact_ll + current.log_prior
-               + proposal_log_density(theta_star - forward_mean, params))
-    log_ratio_r = log_num - log_den
-    return Stage1Decision(log_alpha1_forward=min(0.0, log_ratio_r),
-                          log_ratio_r=log_ratio_r, accepted=False,
-                          prediction=joint_pred)
+    log_den = current.exact_ll + current.log_prior + log_q_forward
+    return min(0.0, log_num - log_den)
 
 
-def stage2_log_alpha_mala(current: StateSnapshot, proposal_theta,
-                          proposal_exact_ll: float, proposal_exact_grad_ll,
-                          stage1: Stage1Decision, prior_grads,
-                          proposal_log_prior: float,
-                          params: MalaProposalParams) -> float:
+def stage2_log_alpha_mala(exact_log_ratio: float, log_alpha1: float) -> float:
     """Stage-2 log acceptance for a Langevin proposal.
 
-    Uses exact values and gradients at both endpoints; the reverse stage-1
-    acceptance is evaluated under the same pre-update surrogate, where the
-    current state's quantities are exact with zero variance.
+    ``exact_log_ratio`` is r, the one-stage log ratio with exact values and
+    gradients at both endpoints; ``log_alpha1`` is the stage-1 result. The
+    reverse stage-1 acceptance is min(0, -r): under the same pre-update
+    surrogate the current state's quantities are exact with zero variance.
+    r = -inf (no likelihood at the proposal) rejects.
     """
-    if not stage1.accepted:
-        raise StageOrderError("stage 2 requires a stage-1 accepted proposal")
-    proposal_exact_ll = float(proposal_exact_ll)
-    if math.isnan(proposal_exact_ll) or proposal_exact_ll == math.inf:
-        raise ValueError("proposal_exact_ll must not be NaN or +inf")
-    if proposal_exact_ll == -math.inf:
-        return -math.inf
-    theta_star = _vector(proposal_theta, params.dim)
-    grad_star = _vector(proposal_exact_grad_ll, params.dim)
-    grad_prior_current, grad_prior_star = prior_grads
-    _require_finite("stage2_log_alpha_mala", proposal_log_prior, grad_star,
-                    grad_prior_current, grad_prior_star)
-
-    forward_mean = mala_drift(current.theta, current.exact_grad_ll,
-                              grad_prior_current, params)
-    reverse_mean = mala_drift(theta_star, grad_star, grad_prior_star, params)
-    log_q_forward = proposal_log_density(theta_star - forward_mean, params)
-    log_q_reverse = proposal_log_density(current.theta - reverse_mean, params)
-    exact_log_ratio = ((proposal_exact_ll + proposal_log_prior + log_q_reverse)
-                       - (current.exact_ll + current.log_prior + log_q_forward))
-    log_alpha1_reverse = min(0.0, -exact_log_ratio)
-    return min(0.0, exact_log_ratio + log_alpha1_reverse - stage1.log_alpha1_forward)
+    if math.isnan(exact_log_ratio) or exact_log_ratio == math.inf:
+        raise ValueError("exact_log_ratio must not be NaN or +inf")
+    return min(0.0, exact_log_ratio + min(0.0, -exact_log_ratio) - log_alpha1)

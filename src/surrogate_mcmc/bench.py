@@ -289,13 +289,26 @@ def _check_schema_version(doc: dict, path: str) -> None:
         raise SchemaError(f"{path}: unsupported schema major version {version}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _validate_entry(entry: dict, path: str) -> None:
+    if not isinstance(entry, dict):
+        raise SchemaError(f"{path}: each entry must be a JSON object")
     for key in ("target", "algo", "seed", "metrics"):
         if key not in entry:
             raise SchemaError(f"{path}: missing field {key}")
+    metrics = entry["metrics"]
+    if not isinstance(metrics, dict):
+        raise SchemaError(f"{path}: field metrics must be a JSON object")
     for key in _METRIC_KEYS:
-        if key not in entry["metrics"]:
+        if key not in metrics:
             raise SchemaError(f"{path}: missing field metrics.{key}")
+        value = metrics[key]
+        values = value if key == "ess" and isinstance(value, list) and value else [value]
+        if not all(_is_number(v) for v in values):
+            raise SchemaError(f"{path}: field metrics.{key} must be numeric")
 
 
 def load_metrics_file(path: str) -> list:
@@ -311,6 +324,8 @@ def load_metrics_file(path: str) -> list:
         raise SchemaError(f"{path}: expected a JSON object")
     _check_schema_version(doc, path)
     entries = doc["entries"] if "entries" in doc else [doc]
+    if not isinstance(entries, list):
+        raise SchemaError(f"{path}: field entries must be a JSON array")
     for entry in entries:
         _validate_entry(entry, path)
     return entries

@@ -4,7 +4,14 @@ proposals through the surrogate before spending an exact evaluation.
 
 A proposal (``_RandomWalk``, ``_Langevin``) supplies the move, the exact
 evaluation and the acceptance ratios; ``_run_exact`` and ``_run_two_stage``
-are the only chain loops. The two-stage loop keeps these rules:
+are the only chain loops. A proposal's ``stage1`` returns log alpha_1 as a
+float with the context its ``stage2`` needs: the surrogate prediction for
+the random walk, which ``stage2_log_alpha_mh`` corrects with the exact
+log-likelihood; the forward pair (prior gradient at the proposal, forward
+proposal density) for the Langevin move, from which ``stage2`` forms the
+same exact log ratio r a one-stage chain accepts with and hands r and
+log alpha_1 to ``stage2_log_alpha_mala``. The stage functions are called
+through this module's namespace. The two-stage loop keeps these rules:
   * the surrogate's constant prior mean is refreshed to the exact
     log-likelihood of the current state every time the state changes;
   * exact quantities for the current state are always served from its
@@ -22,7 +29,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -271,18 +278,19 @@ class _RandomWalk:
         return min(0.0, (ll + log_prior) - (state.exact_ll + state.log_prior))
 
     def stage1(self, gp, state, proposal, ctx, log_prior):
-        """Stage-1 decision and the context stage 2 needs."""
+        """Stage-1 log acceptance and the context stage 2 needs."""
         pred = kernelgp.predict(gp, proposal)
-        return stage1_log_alpha_mh(state, proposal, pred, log_prior), None
+        return stage1_log_alpha_mh(state, proposal, pred, log_prior), pred
 
-    def stage2(self, state, proposal, ctx, log_prior, ll, grad, decision):
-        return stage2_log_alpha_mh(state, ll, decision, log_prior)
+    def stage2(self, state, proposal, pred, log_prior, ll, grad, log_alpha1):
+        return stage2_log_alpha_mh(ll, pred)
 
 
 class _Langevin:
     """Preconditioned Langevin move drifted by the current state's exact
-    gradient. The move's context is (prior gradient at the current state,
-    forward drift mean); stage 1 turns it into the prior-gradient pair."""
+    gradient. The move's context is its forward drift mean. Stage 1, or the
+    one-stage ratio, turns it into the forward pair (prior gradient at the
+    proposal, log q(proposal | state)), which stage 2 reuses."""
 
     gradient_mode = True
 
@@ -310,35 +318,43 @@ class _Langevin:
 
     def propose(self, rng: np.random.Generator, state: StateSnapshot):
         params = self.params
-        grad_prior = self._grad_prior(state)
-        forward_mean = mala_drift(state.theta, state.exact_grad_ll, grad_prior, params)
+        forward_mean = mala_drift(state.theta, state.exact_grad_ll,
+                                  self._grad_prior(state), params)
         proposal = forward_mean + self.sqrt_delta * (params.precond_sqrt
                                                      @ rng.standard_normal(self.target.dim))
-        return proposal, (grad_prior, forward_mean)
+        return proposal, forward_mean
 
     def evaluate(self, theta):
         return self.target.log_likelihood_and_grad(theta)
 
-    def exact_log_alpha(self, state, proposal, ctx, log_prior, ll, grad):
+    def _forward(self, proposal, forward_mean):
+        """(grad_log_prior(proposal), log q(proposal | state)) for one move."""
+        return (self.target.grad_log_prior(proposal),
+                proposal_log_density(proposal - forward_mean, self.params))
+
+    def _exact_log_ratio(self, state, proposal, log_prior, ll, grad,
+                         grad_prior_star, log_q_forward) -> float:
+        """One-stage exact log ratio r of the move, from its forward pair."""
+        reverse_mean = mala_drift(proposal, grad, grad_prior_star, self.params)
+        return ((ll + log_prior + proposal_log_density(state.theta - reverse_mean, self.params))
+                - (state.exact_ll + state.log_prior + log_q_forward))
+
+    def exact_log_alpha(self, state, proposal, forward_mean, log_prior, ll, grad):
         if not math.isfinite(log_prior) or ll == -math.inf:
             return None
-        params = self.params
-        reverse_mean = mala_drift(proposal, grad, self.target.grad_log_prior(proposal),
-                                  params)
-        return min(0.0, (ll + log_prior
-                         + proposal_log_density(state.theta - reverse_mean, params))
-                   - (state.exact_ll + state.log_prior
-                      + proposal_log_density(proposal - ctx[1], params)))
+        return min(0.0, self._exact_log_ratio(state, proposal, log_prior, ll, grad,
+                                              *self._forward(proposal, forward_mean)))
 
-    def stage1(self, gp, state, proposal, ctx, log_prior):
-        prior_grads = (ctx[0], self.target.grad_log_prior(proposal))
+    def stage1(self, gp, state, proposal, forward_mean, log_prior):
+        forward = self._forward(proposal, forward_mean)
         joint = kernelgp.predict_joint(gp, proposal)
-        return (stage1_log_alpha_mala(state, proposal, joint, prior_grads, log_prior,
-                                      self.params), prior_grads)
+        return (stage1_log_alpha_mala(state, proposal, joint, log_prior, *forward,
+                                      self.params), forward)
 
-    def stage2(self, state, proposal, prior_grads, log_prior, ll, grad, decision):
-        return stage2_log_alpha_mala(state, proposal, ll, grad, decision, prior_grads,
-                                     log_prior, self.params)
+    def stage2(self, state, proposal, forward, log_prior, ll, grad, log_alpha1):
+        r = (-math.inf if ll == -math.inf
+             else self._exact_log_ratio(state, proposal, log_prior, ll, grad, *forward))
+        return stage2_log_alpha_mala(r, log_alpha1)
 
 
 def run_mh(target: TargetInstance, config: SamplerConfig, theta0) -> ChainTrace:
@@ -415,12 +431,10 @@ def _run_two_stage(kind, config: SamplerConfig, theta0, algo: str) -> ChainTrace
         if not math.isfinite(log_prior):
             tr.record(k, state.theta, -math.inf, False, np.nan, False, False)
             continue
-        decision, ctx = kind.stage1(gp, state, proposal, ctx, log_prior)
-        if not _accept(rng, decision.log_alpha1_forward):
-            tr.record(k, state.theta, decision.log_alpha1_forward, False,
-                      np.nan, False, False)
+        log_alpha1, ctx = kind.stage1(gp, state, proposal, ctx, log_prior)
+        if not _accept(rng, log_alpha1):
+            tr.record(k, state.theta, log_alpha1, False, np.nan, False, False)
             continue
-        decision = replace(decision, accepted=True)
         ll, grad = kind.evaluate(proposal)
         try:
             grew = _maybe_append(gp, config, proposal, ll, grad)
@@ -430,13 +444,12 @@ def _run_two_stage(kind, config: SamplerConfig, theta0, algo: str) -> ChainTrace
         if grew is not None:
             gp = grew
             appends_since_opt += 1
-        log_alpha2 = kind.stage2(state, proposal, ctx, log_prior, ll, grad, decision)
+        log_alpha2 = kind.stage2(state, proposal, ctx, log_prior, ll, grad, log_alpha1)
         accepted2 = _accept(rng, log_alpha2)
         if accepted2:
             state = StateSnapshot(theta=proposal, exact_ll=ll, log_prior=log_prior,
                                   exact_grad_ll=grad)
-        tr.record(k, state.theta, decision.log_alpha1_forward, True,
-                  log_alpha2, accepted2, True)
+        tr.record(k, state.theta, log_alpha1, True, log_alpha2, accepted2, True)
         if k < config.n_burnin and appends_since_opt >= config.hyper_update_every:
             hyper = kernelgp.optimize_hypers(gp.data, gp.hyper, state.exact_ll,
                                              config.hyper_opt_budget,

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
-from surrogate_mcmc.acceptance import (MalaProposalParams, StageOrderError,
-                                       StateSnapshot, _require_finite,
+from surrogate_mcmc.acceptance import (MalaProposalParams, StateSnapshot,
+                                       _require_finite,
                                        gaussian_quadratic_expectation,
                                        lognormal_mean_log, mala_drift,
                                        mala_marginal_log_factor,
@@ -57,25 +57,21 @@ def test_require_finite_rejects_scalars_and_arrays_alike(bad):
 def test_stage1_mh_balanced_ratio_accepts_certainly():
     cur = snapshot([0.0], ll=-2.0, lp=0.0)
     pred = SurrogatePrediction(mean=-2.5, variance=1.0)  # mean + var/2 = -2
-    dec = stage1_log_alpha_mh(cur, [1.0], pred, proposal_log_prior=0.0)
-    assert dec.log_ratio_r == pytest.approx(0.0, abs=1e-12)
-    assert dec.log_alpha1_forward == 0.0
-    assert dec.accepted is False
-    assert dec.prediction is pred
+    assert stage1_log_alpha_mh(cur, [1.0], pred, proposal_log_prior=0.0) == 0.0
 
 
 def test_stage1_mh_variance_raises_ratio():
     cur = snapshot([0.0], ll=-2.0, lp=0.0)
     lo = stage1_log_alpha_mh(cur, [1.0], SurrogatePrediction(-3.0, 0.0), 0.0)
     hi = stage1_log_alpha_mh(cur, [1.0], SurrogatePrediction(-3.0, 2.0), 0.0)
-    assert hi.log_ratio_r - lo.log_ratio_r == pytest.approx(1.0, abs=1e-12)
+    assert hi - lo == pytest.approx(1.0, abs=1e-12)
 
 
 def test_stage1_mh_hand_value():
     cur = snapshot([0.0], ll=-2.0, lp=0.0)
-    dec = stage1_log_alpha_mh(cur, [1.0], SurrogatePrediction(-3.0, 1.0), 0.0)
-    assert dec.log_ratio_r == pytest.approx(-0.5, abs=1e-12)
-    assert math.exp(dec.log_alpha1_forward) == pytest.approx(0.6065, abs=1e-4)
+    log_alpha1 = stage1_log_alpha_mh(cur, [1.0], SurrogatePrediction(-3.0, 1.0), 0.0)
+    assert log_alpha1 == pytest.approx(-0.5, abs=1e-12)
+    assert math.exp(log_alpha1) == pytest.approx(0.6065, abs=1e-4)
 
 
 def test_stage1_mh_rejects_non_finite_inputs():
@@ -89,57 +85,23 @@ def test_stage1_mh_rejects_non_finite_inputs():
 # ---------------------------------------------------------------------------
 # random-walk stage 2
 
-def test_stage2_mh_requires_stage1_acceptance():
-    cur = snapshot([0.0], ll=-2.0, lp=0.0)
-    dec = stage1_log_alpha_mh(cur, [1.0], SurrogatePrediction(-1.0, 0.5), 0.0)
-    with pytest.raises(StageOrderError):
-        stage2_log_alpha_mh(cur, -1.5, dec, 0.0)
-
-
-def accepted_stage1(cur, pred, lp_star=0.0, log_q=0.0):
-    from dataclasses import replace
-    dec = stage1_log_alpha_mh(cur, [1.0], pred, lp_star, log_q)
-    return replace(dec, accepted=True)
-
-
 def test_stage2_mh_perfect_surrogate_accepts_certainly():
-    cur = snapshot([0.0], ll=-2.0, lp=0.0)
-    dec = accepted_stage1(cur, SurrogatePrediction(-3.5, 1.0))
-    assert stage2_log_alpha_mh(cur, -3.0, dec, 0.0) == 0.0
+    assert stage2_log_alpha_mh(-3.0, SurrogatePrediction(-3.5, 1.0)) == 0.0
 
 
 def test_stage2_mh_hand_value():
-    cur = snapshot([0.0], ll=-2.0, lp=0.0)
-    dec = accepted_stage1(cur, SurrogatePrediction(-2.5, 1.0))
-    out = stage2_log_alpha_mh(cur, -3.0, dec, 0.0)
+    out = stage2_log_alpha_mh(-3.0, SurrogatePrediction(-2.5, 1.0))
     assert out == pytest.approx(-1.0, abs=1e-12)
     assert math.exp(out) == pytest.approx(0.3679, abs=1e-4)
 
 
-def test_stage2_mh_direct_and_simplified_forms_agree():
-    # the one-line form must match the full two-ratio evaluation
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        ll_cur, lp_cur, lp_star, log_q = rng.uniform(-10, 5, size=4)
-        mean, var = rng.uniform(-10, 5), rng.uniform(0, 4)
-        ll_star = rng.uniform(-10, 5)
-        cur = snapshot([0.0], ll=ll_cur, lp=lp_cur)
-        dec = accepted_stage1(cur, SurrogatePrediction(mean, var), lp_star, log_q)
-        got = stage2_log_alpha_mh(cur, ll_star, dec, lp_star, log_q)
-        rev = min(0.0, -dec.log_ratio_r)
-        direct = min(0.0, (ll_star + lp_star + log_q + rev)
-                     - (ll_cur + lp_cur + dec.log_alpha1_forward))
-        assert abs(got - direct) <= 1e-12
-
-
 def test_stage2_mh_input_validation():
-    cur = snapshot([0.0], ll=-2.0, lp=0.0)
-    dec = accepted_stage1(cur, SurrogatePrediction(-2.0, 0.0))
+    pred = SurrogatePrediction(-2.0, 0.0)
     with pytest.raises(ValueError):
-        stage2_log_alpha_mh(cur, math.nan, dec, 0.0)
+        stage2_log_alpha_mh(math.nan, pred)
     with pytest.raises(ValueError):
-        stage2_log_alpha_mh(cur, math.inf, dec, 0.0)
-    assert stage2_log_alpha_mh(cur, -math.inf, dec, 0.0) == -math.inf
+        stage2_log_alpha_mh(math.inf, pred)
+    assert stage2_log_alpha_mh(-math.inf, pred) == -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -318,58 +280,56 @@ def test_stage1_mala_zero_uncertainty_equals_plugin_ratio():
     theta_star = np.array([0.4, -0.2])
     grad_prior = (np.array([0.1, 0.0]), np.array([0.0, 0.2]))
     mu, grad_mu = -1.4, np.array([0.3, 0.6])
-    dec = stage1_log_alpha_mala(cur, theta_star, _joint_pred(mu, grad_mu, np.zeros((3, 3))),
-                                grad_prior, -0.2, params)
-
     q = multivariate_normal(mean=np.zeros(2), cov=0.3 * np.eye(2))
     fwd = mala_drift(cur.theta, cur.exact_grad_ll, grad_prior[0], params)
     rev = mala_drift(theta_star, grad_mu, grad_prior[1], params)
+    log_alpha1 = stage1_log_alpha_mala(cur, theta_star,
+                                       _joint_pred(mu, grad_mu, np.zeros((3, 3))),
+                                       -0.2, grad_prior[1], q.logpdf(theta_star - fwd),
+                                       params)
+
     expected = ((mu - 0.2 + q.logpdf(cur.theta - rev))
                 - (-1.0 - 0.1 + q.logpdf(theta_star - fwd)))
-    assert dec.log_ratio_r == pytest.approx(expected, abs=1e-10)
+    assert expected < 0.0
+    assert log_alpha1 == pytest.approx(expected, abs=1e-10)
 
 
 def test_stage1_mala_requires_gradients_and_joint_prediction():
     params = MalaProposalParams.diagonal(0.3, [1.0])
-    no_grad = snapshot([0.0], ll=-1.0, lp=0.0)
-    pred = _joint_pred(-1.0, [0.0], np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        stage1_log_alpha_mala(no_grad, [0.5], pred, ([0.0], [0.0]), 0.0, params)
     cur = snapshot([0.0], ll=-1.0, lp=0.0, grad=np.array([0.2]))
+    no_grad = SurrogatePrediction(mean=-1.0, variance=0.1, joint_cov=np.zeros((2, 2)))
     scalar_pred = SurrogatePrediction(mean=-1.0, variance=0.1)
-    with pytest.raises(ValueError):
-        stage1_log_alpha_mala(cur, [0.5], scalar_pred, ([0.0], [0.0]), 0.0, params)
+    for pred in (no_grad, scalar_pred):
+        with pytest.raises(ValueError):
+            stage1_log_alpha_mala(cur, [0.5], pred, 0.0, [0.0], -1.0, params)
 
 
 def test_stage2_mala_perfect_surrogate_accepts_certainly():
-    # surrogate already exact at the proposal: correction must be a no-op
+    # surrogate already exact at the proposal: stage 1 screens with the
+    # exact ratio r itself, so the correction must be a no-op
     params = MalaProposalParams.diagonal(0.4, [1.0])
     cur = snapshot([0.0], ll=-1.0, lp=0.0, grad=np.array([0.8]))
     theta_star = np.array([0.5])
     ll_star, grad_star = -1.3, np.array([-0.4])
-    grad_prior = (np.array([0.0]), np.array([0.0]))
-    dec = stage1_log_alpha_mala(cur, theta_star,
-                                _joint_pred(ll_star, grad_star, np.zeros((2, 2))),
-                                grad_prior, 0.0, params)
-    from dataclasses import replace
-    dec = replace(dec, accepted=True)
-    out = stage2_log_alpha_mala(cur, theta_star, ll_star, grad_star, dec,
-                                grad_prior, 0.0, params)
-    assert out == pytest.approx(0.0, abs=1e-10)
+    grad_prior_star = np.array([0.0])
+    fwd = mala_drift(cur.theta, cur.exact_grad_ll, [0.0], params)
+    rev = mala_drift(theta_star, grad_star, grad_prior_star, params)
+    log_q_forward = proposal_log_density(theta_star - fwd, params)
+    r = ((ll_star + 0.0 + proposal_log_density(cur.theta - rev, params))
+         - (cur.exact_ll + cur.log_prior + log_q_forward))
+    log_alpha1 = stage1_log_alpha_mala(cur, theta_star,
+                                       _joint_pred(ll_star, grad_star, np.zeros((2, 2))),
+                                       0.0, grad_prior_star, log_q_forward, params)
+    assert log_alpha1 == pytest.approx(min(0.0, r), abs=1e-10)
+    assert stage2_log_alpha_mala(r, log_alpha1) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_stage2_mala_gate_and_minus_inf():
-    params = MalaProposalParams.diagonal(0.4, [1.0])
-    cur = snapshot([0.0], ll=-1.0, lp=0.0, grad=np.array([0.8]))
-    pred = _joint_pred(-1.0, [0.0], np.zeros((2, 2)))
-    dec = stage1_log_alpha_mala(cur, [0.5], pred, ([0.0], [0.0]), 0.0, params)
-    with pytest.raises(StageOrderError):
-        stage2_log_alpha_mala(cur, [0.5], -1.2, [0.0], dec, ([0.0], [0.0]), 0.0, params)
-    from dataclasses import replace
-    dec = replace(dec, accepted=True)
-    out = stage2_log_alpha_mala(cur, [0.5], -math.inf, [0.0], dec,
-                                ([0.0], [0.0]), 0.0, params)
-    assert out == -math.inf
+    # r = -inf (no likelihood at the proposal) rejects; NaN or +inf is refused
+    assert stage2_log_alpha_mala(-math.inf, -0.3) == -math.inf
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            stage2_log_alpha_mala(bad, -0.3)
 
 
 def test_state_snapshot_validation():

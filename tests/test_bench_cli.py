@@ -466,6 +466,21 @@ def test_report_table_and_merge(tmp_path, capsys):
     assert b1 == b2
 
 
+@pytest.mark.parametrize("doc", [
+    {"schema_version": "1.2", "entries": [1]},
+    {"schema_version": "1.2", "entries": None},
+    {**_valid_entry(), "metrics": 5},
+    {**_valid_entry(), "metrics": {**_valid_entry()["metrics"], "acceptance_rate": "0.3"}},
+], ids=["entry-not-object", "entries-null", "metrics-not-object", "metric-string"])
+def test_report_malformed_metrics_is_schema_error(tmp_path, capsys, doc):
+    path = tmp_path / "m.json"
+    path.write_text(json_text(doc))
+    with pytest.raises(SchemaError):
+        load_metrics_file(str(path))
+    assert main(["report", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_report_missing_file_is_config_error(tmp_path, capsys):
     assert main(["report", str(tmp_path / "absent.json")]) == 2
     capsys.readouterr()

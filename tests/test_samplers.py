@@ -1,18 +1,14 @@
 """Tests for the chain drivers: trace invariants, evaluation accounting,
-determinism, initial-design construction, and detailed balance of the
-screening stage on a frozen surrogate."""
+determinism and initial-design construction. Detailed balance of the
+screening stage on a frozen surrogate is criterion c07 in test_acceptance."""
 
 import math
 
 import numpy as np
 import pytest
 
-from surrogate_mcmc import kernelgp
-from surrogate_mcmc.acceptance import (
-    MalaProposalParams,
-    StateSnapshot,
-    stage1_log_alpha_mh,
-)
+from surrogate_mcmc import acceptance, kernelgp, samplers
+from surrogate_mcmc.acceptance import MalaProposalParams
 from surrogate_mcmc.kernelgp import Evaluation, EvaluationLedger, KernelHyper
 from surrogate_mcmc.diagnostics import build_metrics
 from surrogate_mcmc.samplers import (
@@ -228,6 +224,30 @@ def test_gp_mala_eval_accounting_matches_counter():
     assert np.all(np.isnan(trace.stage2_log_alpha[rejected1]))
 
 
+@pytest.mark.parametrize("runner", [run_mala, run_gp_mala])
+def test_langevin_move_computes_each_drift_and_density_once(monkeypatch, runner):
+    # per move: one forward drift, one forward density and, where the exact
+    # ratio is formed, one reverse drift and density; stage 1 adds only the
+    # density of its marginalised reverse move
+    calls = {"mala_drift": 0, "proposal_log_density": 0}
+    for name in calls:
+        def counted(*args, _original=getattr(acceptance, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(acceptance, name, counted)
+        monkeypatch.setattr(samplers, name, counted)
+    target = standard_normal_target(2)  # flat prior: every move is screened
+    scales = np.full(2, 2.4 / math.sqrt(2))
+    config = SamplerConfig(proposal_scales=scales, n_iters=200, n_burnin=50,
+                           mala=MalaProposalParams.diagonal(1.4, scales**2), seed=4)
+    trace = runner(target, config, np.zeros(2))
+    n, exact = config.n_iters, int(trace.full_eval.sum())
+    screens = n if trace.two_stage else 0
+    assert 0 < exact
+    assert calls["mala_drift"] == n + exact
+    assert calls["proposal_log_density"] == screens + n + exact
+
+
 def test_gp_mh_moments_reasonable():
     target = standard_normal_target(1)
     config = gauss_config(n_iters=3000, n_burnin=500, seed=11)
@@ -430,45 +450,3 @@ def test_init_ledger_gradient_mode_stores_gradients():
         assert grad is not None
         np.testing.assert_allclose(grad, -ledger[i].theta, rtol=0, atol=0)
     assert n_evals == target.eval_count
-
-
-# ---------------------------------------------------------------------------
-# detailed balance of the screening stage on a frozen surrogate
-
-def test_stage1_detailed_balance_on_grid():
-    # 41-point grid; the screening kernel must be reversible for the density
-    # proportional to exp(mu + k/2) * prior when the current-state value is
-    # the surrogate's own lognormal mean.
-    grid = np.linspace(-3.0, 3.0, 41)
-    ledger = EvaluationLedger(Evaluation(theta=np.array([x]), log_lik=-0.5 * x * x)
-                              for x in (-2.0, -1.0, 0.0, 1.0, 2.0))
-    hyper = KernelHyper(lengthscales=np.array([1.0]), signal_variance=1.0)
-    gp = kernelgp.fit(ledger, hyper, prior_mean=0.0)
-
-    preds = [kernelgp.predict(gp, np.array([x])) for x in grid]
-    log_prior = -0.5 * grid**2 / 1.5**2
-    log_pi = np.array([p.mean + 0.5 * p.variance for p in preds]) + log_prior
-    log_pi -= np.max(log_pi)
-    pi = np.exp(log_pi)
-    pi /= pi.sum()
-
-    # grid-restricted Gaussian proposal, rows normalised
-    diff = grid[:, None] - grid[None, :]
-    w = np.exp(-0.5 * diff**2 / 0.8**2)
-    np.fill_diagonal(w, 0.0)
-    q = w / w.sum(axis=1, keepdims=True)
-
-    n = grid.shape[0]
-    flux = np.zeros((n, n))
-    for i in range(n):
-        current = StateSnapshot(theta=np.array([grid[i]]),
-                                exact_ll=preds[i].mean + 0.5 * preds[i].variance,
-                                log_prior=float(log_prior[i]))
-        for j in range(n):
-            if i == j:
-                continue
-            log_q_ratio = math.log(q[j, i]) - math.log(q[i, j])
-            dec = stage1_log_alpha_mh(current, np.array([grid[j]]), preds[j],
-                                      float(log_prior[j]), log_q_ratio)
-            flux[i, j] = pi[i] * q[i, j] * math.exp(dec.log_alpha1_forward)
-    assert float(np.max(np.abs(flux - flux.T))) < 1e-10
