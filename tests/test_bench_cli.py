@@ -4,6 +4,7 @@ point, and the reporting pipeline."""
 import json
 import math
 import os
+from dataclasses import fields as dataclass_fields
 
 import numpy as np
 import pytest
@@ -161,6 +162,82 @@ def test_run_config_validation():
         RunConfig(workers=0)
     with pytest.raises(ConfigError, match="algo"):
         RunConfig(algos=())
+
+
+# ---------------------------------------------------------------------------
+# flag / INI parity: every RunConfig field is reachable both ways
+
+# field, INI section, INI key, INI text, value from INI, flag argv, value from flag
+SETTING_ROWS = [
+    ("target", "run", "target", "t2", "t2", ["--target", "t3"], "t3"),
+    ("algos", "run", "algo", "mh, gp-mh", ("mh", "gp-mh"),
+     ["--algo", "mala", "--algo", "gp-mala,mh"], ("mala", "gp-mala", "mh")),
+    ("n_iters", "sampler", "iters", "1000", 1000, ["--iters", "1200"], 1200),
+    ("n_burnin", "sampler", "burnin", "200", 200, ["--burnin", "300"], 300),
+    ("seed", "sampler", "seed", "11", 11, ["--seed", "12"], 12),
+    ("scale", "run", "scale", "40", 40, ["--scale", "50"], 50),
+    ("out_dir", "run", "out", "res_a", "res_a", ["--out", "res_b"], "res_b"),
+    ("proposal_scales", "sampler", "proposal_scales", "0.25, 8.0", (0.25, 8.0),
+     ["--proposal-scales", "0.5,0.75"], (0.5, 0.75)),
+    ("mala_step", "sampler", "mala_step", "0.3", 0.3, ["--mala-step", "0.4"], 0.4),
+    ("gp_init_count", "sampler", "gp_init_count", "4", 4,
+     ["--gp-init-count", "5"], 5),
+    ("hyper_update_every", "sampler", "hyper_update_every", "10", 10,
+     ["--hyper-update-every", "20"], 20),
+    ("hyper_opt_budget", "sampler", "hyper_opt_budget", "30", 30,
+     ["--hyper-opt-budget", "40"], 40),
+    ("ledger_cap", "sampler", "ledger_cap", "100", 100, ["--ledger-cap", "150"], 150),
+    ("eval_denominator", "sampler", "eval_denominator", "1000", 1000,
+     ["--eval-denominator", "2000"], 2000),
+    ("replicates", "run", "replicates", "3", 3, ["--replicates", "4"], 4),
+    ("workers", "run", "workers", "2", 2, ["--workers", "3"], 3),
+    # a store_true flag cannot undo the file, so both sides set True here
+    ("save_traces", "run", "save_traces", "yes", True, ["--save-traces"], True),
+]
+BENCH_ONLY = {"replicates", "workers", "save_traces"}
+SETTING_CASES = [(cmd, row) for row in SETTING_ROWS
+                 for cmd in (("bench",) if row[0] in BENCH_ONLY else ("run", "bench"))]
+
+
+def test_setting_rows_cover_run_config():
+    assert sorted(row[0] for row in SETTING_ROWS) == sorted(
+        f.name for f in dataclass_fields(RunConfig))
+
+
+def resolved_config(monkeypatch, argv):
+    """RunConfig that ``main`` would execute for ``argv``; nothing runs."""
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    seen = []
+    monkeypatch.setattr(bench, "cmd_run", lambda cfg: seen.append(cfg) or 0)
+    monkeypatch.setattr(bench, "cmd_bench", lambda cfg: seen.append(cfg) or 0)
+    assert main(argv) == 0
+    (cfg,) = seen
+    return cfg
+
+
+@pytest.mark.parametrize("cmd,row", SETTING_CASES,
+                         ids=[f"{cmd}-{row[0]}" for cmd, row in SETTING_CASES])
+def test_setting_flag_ini_parity(tmp_path, monkeypatch, cmd, row):
+    name, section, key, text, file_value, flag_argv, flag_value = row
+    default = getattr(RunConfig(), name)
+    assert file_value != default and flag_value != default
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(f"[{section}]\n{key} = {text}\n")
+    from_flag = resolved_config(monkeypatch, [cmd] + flag_argv)
+    assert getattr(from_flag, name) == flag_value
+    from_file = resolved_config(monkeypatch, [cmd, "--config", str(ini)])
+    assert getattr(from_file, name) == file_value
+    both = resolved_config(monkeypatch, [cmd, "--config", str(ini)] + flag_argv)
+    assert getattr(both, name) == flag_value
+
+
+@pytest.mark.parametrize("flag", ["--replicates", "--workers", "--save-traces"])
+def test_run_has_no_bench_only_flags(flag, capsys):
+    argv = ["run", flag] if flag == "--save-traces" else ["run", flag, "2"]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
