@@ -18,7 +18,10 @@ import math
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from contextlib import ExitStack
+from dataclasses import dataclass, field, fields
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -44,29 +47,100 @@ class SchemaError(ConfigError):
     """Metrics file does not match the expected schema."""
 
 
+def parse_scales(text: str) -> tuple:
+    try:
+        values = tuple(float(part) for part in str(text).split(",") if part.strip())
+    except ValueError as exc:
+        raise ConfigError(f"bad proposal_scales {text!r}: {exc}") from None
+    if not values:
+        raise ConfigError("proposal_scales is empty")
+    return values
+
+
+def parse_algos(text: str) -> tuple:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+def parse_bool(text: str) -> bool:
+    if text.lower() in ("1", "true", "yes", "on"):
+        return True
+    if text.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+@dataclass(frozen=True)
+class Setting:
+    """How one RunConfig field is spelled outside the program: key ``key``
+    under ``[section]`` of the INI file, and flag ``--key`` with ``_``
+    written as ``-``. ``parse`` turns the text of either into the value;
+    bench-only settings have no ``run`` flag."""
+
+    section: str
+    key: str
+    parse: Callable[[str], object]
+    help: str
+    metavar: str | None = None
+    bench_only: bool = False
+
+
+def _setting(default, section, key, parse, help, **kw):
+    return field(default=default,
+                 metadata={"setting": Setting(section, key, parse, help, **kw)})
+
+
 @dataclass
 class RunConfig:
-    """Fully resolved settings for a run or bench invocation."""
+    """Fully resolved settings for a run or bench invocation.
 
-    target: str = "t1"
-    algos: tuple = ("gp-mh",)
-    replicates: int = 1
-    n_iters: int = 2500
-    n_burnin: int = 500
-    seed: int = 0
-    scale: int | None = None
-    out_dir: str = "."
-    gp_init_count: int = 3
-    hyper_update_every: int = 25
-    hyper_opt_budget: int = 50
-    ledger_cap: int | None = None
-    proposal_scales: tuple | None = None
-    mala_step: float | None = None
-    eval_denominator: int | None = None
-    workers: int = 1
-    save_traces: bool = False
+    Each field declares its INI key and flag; the CLI and the config file
+    reader are generated from these declarations, in this order.
+    """
+
+    target: str = _setting("t1", "run", "target", str, "target name (t1..t5)")
+    algos: tuple = _setting(("gp-mh",), "run", "algo", parse_algos,
+                            "mh, mala, gp-mh or gp-mala; repeat or "
+                            "comma-separate for bench", metavar="NAME")
+    n_iters: int = _setting(SamplerConfig.n_iters, "sampler", "iters", int,
+                            "total iterations per chain")
+    n_burnin: int = _setting(SamplerConfig.n_burnin, "sampler", "burnin", int,
+                             "burn-in iterations")
+    seed: int = _setting(SamplerConfig.seed, "sampler", "seed", int,
+                         f"base seed (env {SEED_ENV_VAR} wins)")
+    scale: int | None = _setting(None, "run", "scale", int,
+                                 "dataset size knob (t3, t5)")
+    out_dir: str = _setting(".", "run", "out", str, "output directory")
+    proposal_scales: tuple | None = _setting(
+        None, "sampler", "proposal_scales", parse_scales,
+        "per-dimension proposal standard deviations", metavar="S0,S1,...")
+    mala_step: float | None = _setting(None, "sampler", "mala_step", float,
+                                       "Langevin step size")
+    gp_init_count: int = _setting(SamplerConfig.gp_init_count, "sampler",
+                                  "gp_init_count", int,
+                                  "initial surrogate design size")
+    hyper_update_every: int = _setting(
+        SamplerConfig.hyper_update_every, "sampler", "hyper_update_every", int,
+        "ledger growths between hyperparameter refits")
+    hyper_opt_budget: int = _setting(
+        SamplerConfig.hyper_opt_budget, "sampler", "hyper_opt_budget", int,
+        "objective evaluations per hyperparameter refit")
+    ledger_cap: int | None = _setting(SamplerConfig.ledger_cap, "sampler",
+                                      "ledger_cap", int,
+                                      "maximum surrogate training size")
+    eval_denominator: int | None = _setting(
+        None, "sampler", "eval_denominator", int,
+        "iteration count the evaluation percentage is taken against "
+        "(default: total iterations)")
+    replicates: int = _setting(1, "run", "replicates", int, "chains per algo",
+                               bench_only=True)
+    workers: int = _setting(1, "run", "workers", int,
+                            "parallel worker processes", bench_only=True)
+    save_traces: bool = _setting(False, "run", "save_traces", parse_bool,
+                                 "also write per-replicate trace CSVs",
+                                 bench_only=True)
 
     def __post_init__(self):
+        self.algos = tuple(self.algos)
         for algo in self.algos:
             if algo not in ALGORITHMS:
                 raise ConfigError(f"unknown algo {algo!r}; expected one of "
@@ -79,76 +153,21 @@ class RunConfig:
             raise ConfigError("workers must be at least 1")
 
 
+SETTINGS = {f.name: f.metadata["setting"] for f in fields(RunConfig)}
+
+
 # ---------------------------------------------------------------------------
 # config file + flag merging
-
-_FILE_SCHEMA = {
-    "run": {"target": str, "algo": "algos", "replicates": int, "scale": int,
-            "out": str, "workers": int, "save_traces": bool},
-    "sampler": {"iters": int, "burnin": int, "seed": int, "gp_init_count": int,
-                "hyper_update_every": int, "hyper_opt_budget": int,
-                "ledger_cap": int, "proposal_scales": "floats",
-                "mala_step": float, "eval_denominator": int},
-}
-
-_KEY_TO_FIELD = {("run", "target"): "target", ("run", "algo"): "algos",
-                 ("run", "replicates"): "replicates", ("run", "scale"): "scale",
-                 ("run", "out"): "out_dir", ("run", "workers"): "workers",
-                 ("run", "save_traces"): "save_traces",
-                 ("sampler", "iters"): "n_iters", ("sampler", "burnin"): "n_burnin",
-                 ("sampler", "seed"): "seed",
-                 ("sampler", "gp_init_count"): "gp_init_count",
-                 ("sampler", "hyper_update_every"): "hyper_update_every",
-                 ("sampler", "hyper_opt_budget"): "hyper_opt_budget",
-                 ("sampler", "ledger_cap"): "ledger_cap",
-                 ("sampler", "proposal_scales"): "proposal_scales",
-                 ("sampler", "mala_step"): "mala_step",
-                 ("sampler", "eval_denominator"): "eval_denominator"}
-
-
-def parse_scales(text: str) -> tuple:
-    try:
-        values = tuple(float(part) for part in str(text).split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad proposal_scales {text!r}: {exc}") from None
-    if not values:
-        raise ConfigError("proposal_scales is empty")
-    return values
-
-
-def _convert(section: str, key: str, raw: str):
-    kind = _FILE_SCHEMA[section][key]
-    raw = raw.strip()
-    if raw == "":
-        return None
-    try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is bool:
-            if raw.lower() in ("1", "true", "yes", "on"):
-                return True
-            if raw.lower() in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if kind == "floats":
-            return parse_scales(raw)
-        if kind == "algos":
-            return tuple(part.strip() for part in raw.split(",") if part.strip())
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from None
-    return raw
-
 
 def load_config_file(path: str) -> dict:
     """Read an INI-style config into RunConfig field overrides.
 
+    Values are taken literally and an empty value leaves its setting unset.
     Unknown sections or keys are rejected so typos fail loudly.
     """
-    parser = configparser.ConfigParser()
+    # no header can name the empty section, so [DEFAULT] stays an ordinary
+    # (unknown) section instead of leaking its keys into every other one
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -156,16 +175,22 @@ def load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from None
+    by_key = {(s.section, s.key): name for name, s in SETTINGS.items()}
     overrides = {}
     for section in parser.sections():
-        if section not in _FILE_SCHEMA:
+        if not any(s.section == section for s in SETTINGS.values()):
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _FILE_SCHEMA[section]:
+            if (section, key) not in by_key:
                 raise ConfigError(f"unknown config key {key!r} in [{section}]")
-            value = _convert(section, key, raw)
-            if value is not None:
-                overrides[_KEY_TO_FIELD[(section, key)]] = value
+            name, raw = by_key[(section, key)], raw.strip()
+            if raw:
+                try:
+                    overrides[name] = SETTINGS[name].parse(raw)
+                except ConfigError:
+                    raise
+                except ValueError as exc:
+                    raise ConfigError(f"[{section}] {key}: {exc}") from None
     return overrides
 
 
@@ -181,8 +206,7 @@ def resolve_config(file_overrides: dict, flag_overrides: dict,
             merged["seed"] = int(raw)
         except ValueError:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(merged) - known
+    unknown = set(merged) - SETTINGS.keys()
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     try:
@@ -423,24 +447,25 @@ def cmd_run(cfg: RunConfig) -> int:
 
 
 def _run_algo_replicates(cfg: RunConfig, algo: str) -> tuple[list, list]:
-    jobs = []
-    for r in range(cfg.replicates):
-        path = _trace_path(cfg, algo, r) if cfg.save_traces else None
-        jobs.append((r, path))
+    """Run every replicate of one algo, in worker processes if asked.
+
+    A chain that raises is recorded as a failure; a ConfigError aborts the
+    bench whatever the worker count.
+    """
+    paths = [_trace_path(cfg, algo, r) if cfg.save_traces else None
+             for r in range(cfg.replicates)]
     entries, failures = [], []
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [(r, pool.submit(execute_replicate, cfg, algo, r, path))
-                       for r, path in jobs]
-            for r, fut in futures:
-                try:
-                    entries.append((r, fut.result()))
-                except Exception as exc:
-                    failures.append({"replicate": r, "error": f"{type(exc).__name__}: {exc}"})
-    else:
-        for r, path in jobs:
+    with ExitStack() as stack:
+        if cfg.workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.workers))
+            calls = [pool.submit(execute_replicate, cfg, algo, r, path).result
+                     for r, path in enumerate(paths)]
+        else:
+            calls = [partial(execute_replicate, cfg, algo, r, path)
+                     for r, path in enumerate(paths)]
+        for r, call in enumerate(calls):
             try:
-                entries.append((r, execute_replicate(cfg, algo, r, trace_path=path)))
+                entries.append((r, call()))
             except ConfigError:
                 raise
             except Exception as exc:

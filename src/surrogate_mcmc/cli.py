@@ -18,36 +18,16 @@ from .bench import ConfigError
 def _add_run_flags(parser: argparse.ArgumentParser, with_bench: bool) -> None:
     parser.add_argument("--config", metavar="FILE",
                         help="INI config file; flags override its values")
-    parser.add_argument("--target", help="target name (t1..t5)")
-    parser.add_argument("--algo", action="append", metavar="NAME",
-                        help="mh, mala, gp-mh or gp-mala; repeat or "
-                             "comma-separate for bench")
-    parser.add_argument("--iters", type=int, help="total iterations per chain")
-    parser.add_argument("--burnin", type=int, help="burn-in iterations")
-    parser.add_argument("--seed", type=int,
-                        help=f"base seed (env {bench.SEED_ENV_VAR} wins)")
-    parser.add_argument("--scale", type=int, help="dataset size knob (t3, t5)")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--proposal-scales", metavar="S0,S1,...",
-                        help="per-dimension proposal standard deviations")
-    parser.add_argument("--mala-step", type=float, help="Langevin step size")
-    parser.add_argument("--gp-init-count", type=int,
-                        help="initial surrogate design size")
-    parser.add_argument("--hyper-update-every", type=int,
-                        help="ledger growths between hyperparameter refits")
-    parser.add_argument("--hyper-opt-budget", type=int,
-                        help="objective evaluations per hyperparameter refit")
-    parser.add_argument("--ledger-cap", type=int,
-                        help="maximum surrogate training size")
-    parser.add_argument("--eval-denominator", type=int,
-                        help="iteration count the evaluation percentage is "
-                             "taken against (default: total iterations)")
-    if with_bench:
-        parser.add_argument("--replicates", type=int, help="chains per algo")
-        parser.add_argument("--workers", type=int,
-                            help="parallel worker processes")
-        parser.add_argument("--save-traces", action="store_true", default=None,
-                            help="also write per-replicate trace CSVs")
+    for setting in bench.SETTINGS.values():
+        if setting.bench_only and not with_bench:
+            continue
+        kind = {"type": setting.parse, "metavar": setting.metavar}
+        if setting.parse is bench.parse_bool:
+            kind = {"action": "store_true", "default": None}
+        elif setting.parse is bench.parse_algos:
+            kind["action"] = "extend"  # repeatable, each value comma-separated
+        parser.add_argument("--" + setting.key.replace("_", "-"),
+                            help=setting.help, **kind)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,45 +45,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _split_algos(values) -> tuple | None:
-    if not values:
-        return None
-    algos = []
-    for value in values:
-        algos.extend(part.strip() for part in value.split(",") if part.strip())
-    return tuple(algos)
-
-
-def _flag_overrides(args: argparse.Namespace) -> dict:
-    scales = getattr(args, "proposal_scales", None)
-    return {
-        "target": args.target,
-        "algos": _split_algos(args.algo),
-        "replicates": getattr(args, "replicates", None),
-        "n_iters": args.iters,
-        "n_burnin": args.burnin,
-        "seed": args.seed,
-        "scale": args.scale,
-        "out_dir": args.out,
-        "proposal_scales": bench.parse_scales(scales) if scales else None,
-        "mala_step": args.mala_step,
-        "gp_init_count": args.gp_init_count,
-        "hyper_update_every": args.hyper_update_every,
-        "hyper_opt_budget": args.hyper_opt_budget,
-        "ledger_cap": args.ledger_cap,
-        "eval_denominator": args.eval_denominator,
-        "workers": getattr(args, "workers", None),
-        "save_traces": getattr(args, "save_traces", None),
-    }
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "report":
             return bench.cmd_report(args.paths, args.out)
         file_overrides = bench.load_config_file(args.config) if args.config else {}
-        cfg = bench.resolve_config(file_overrides, _flag_overrides(args))
+        flags = {name: getattr(args, setting.key, None)
+                 for name, setting in bench.SETTINGS.items()}
+        cfg = bench.resolve_config(file_overrides, flags)
         if args.command == "run":
             return bench.cmd_run(cfg)
         return bench.cmd_bench(cfg)

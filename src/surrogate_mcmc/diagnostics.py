@@ -5,7 +5,7 @@ mean, and the windowed stage-1 vs stage-2 acceptance gap."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -119,22 +119,10 @@ class MetricsReport:
     skipped_refits: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "acceptance_rate": self.acceptance_rate,
-            "ess": [float(v) for v in np.atleast_1d(self.ess)],
-            "esjd": self.esjd,
-            "eval_pct": self.eval_pct,
-            "sd": self.sd,
-            "alpha_gap_series": [[int(w), float(g)] for w, g in self.alpha_gap_series],
-            "n_full_evals": self.n_full_evals,
-            "n_iters": self.n_iters,
-            "n_burnin": self.n_burnin,
-            "algo": self.algo,
-            "seed": self.seed,
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "skipped_appends": self.skipped_appends,
-            "skipped_refits": self.skipped_refits,
-        }
+        row = {f.name: getattr(self, f.name) for f in fields(self)}
+        row["ess"] = [float(v) for v in np.atleast_1d(self.ess)]
+        row["alpha_gap_series"] = [[int(w), float(g)] for w, g in self.alpha_gap_series]
+        return row
 
 
 def build_metrics(trace: ChainTrace, true_params, *, eval_denominator: int | None = None,

@@ -112,6 +112,25 @@ def test_config_file_rejects_unknown_key(tmp_path):
         load_config_file(str(path))
 
 
+def test_config_file_values_are_literal(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out%1"
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(f"[run]\nout = {out}\n")
+    assert load_config_file(str(ini)) == {"out_dir": str(out)}
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    assert main(["run", "--config", str(ini), "--target", "t1", "--algo", "mh",
+                 "--iters", "40", "--burnin", "10"]) == 0
+    capsys.readouterr()
+    assert (out / "trace_t1_mh_seed0.csv").exists()
+
+
+def test_config_file_rejects_default_section(tmp_path):
+    path = tmp_path / "bad.ini"
+    path.write_text("[DEFAULT]\nseed = 3\n\n[run]\ntarget = t1\n")
+    with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]"):
+        load_config_file(str(path))
+
+
 def test_config_file_missing_or_malformed(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config_file(str(tmp_path / "absent.ini"))
@@ -428,6 +447,18 @@ def test_cli_exit_code_2_on_config_errors(tmp_path, capsys):
     assert "error" in err.lower() or err.strip()
 
 
+@pytest.mark.parametrize("flag", [["--iters", "soon"], ["--mala-step", "big"],
+                                  ["--proposal-scales", "a,b"]])
+def test_cli_malformed_flag_value_exits_2(tmp_path, capsys, flag):
+    try:
+        rc = main(["run", "--target", "t1", "--algo", "mh", "--out", str(tmp_path)]
+                  + flag)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    assert flag[0] in capsys.readouterr().err
+
+
 def test_cli_exit_code_1_on_runtime_failure(tmp_path, monkeypatch):
     def boom(*args, **kw):
         raise RuntimeError("chain exploded")
@@ -499,6 +530,22 @@ def test_bench_workers_match_serial(tmp_path, capsys):
         ma = strip_wall_clock(read_metrics_doc(a / f"metrics_t1_mh_seed{r}.json"))
         mb = strip_wall_clock(read_metrics_doc(b / f"metrics_t1_mh_seed{r}.json"))
         assert ma == mb
+
+
+def raise_config_error(cfg, algo, replicate, trace_path=None):
+    # module level, so worker processes can unpickle it
+    raise ConfigError("replicate rejected its config")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_bench_replicate_config_error_exits_2(tmp_path, monkeypatch, capsys, workers):
+    monkeypatch.setattr(bench, "execute_replicate", raise_config_error)
+    rc = main(["bench", "--target", "t1", "--algo", "mh", "--replicates", "2",
+               "--iters", "40", "--burnin", "10", "--workers", workers,
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "replicate rejected its config" in capsys.readouterr().err
+    assert not (tmp_path / "summary_t1.json").exists()
 
 
 def test_bench_failure_rate_exit(tmp_path, monkeypatch, capsys):
