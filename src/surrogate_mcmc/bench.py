@@ -151,6 +151,8 @@ class RunConfig:
             raise ConfigError("replicates must be at least 1")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
+        if self.eval_denominator is not None and self.eval_denominator < 1:
+            raise ConfigError("eval_denominator must be at least 1")
 
 
 SETTINGS = {f.name: f.metadata["setting"] for f in fields(RunConfig)}

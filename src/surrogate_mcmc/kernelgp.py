@@ -17,6 +17,15 @@ A fit assembles K into a buffer of its own, adds the jitter to the diagonal
 and factors it in place with LAPACK potrf. If K is not numerically positive
 definite, the jitter is raised by a decade and K is assembled afresh, up to
 ``_JITTER_DECADES`` times, before ``IllConditionedKernelError`` is raised.
+
+An append writes only its new rows. L lies in the leading rows of a square
+buffer with spare capacity, and the ledger's arrays likewise; a surrogate
+shares them with the surrogate appended from it, which writes its rows past
+the parent's in place unless a sibling got there first or they do not fit,
+and then copies into buffers about 25% larger. ``GPSurrogate.chol`` is a
+read-only view of the leading block, and every triangular solve reads the
+factor where it lies, through LAPACK trtrs with the buffer's row length as
+the leading dimension.
 """
 
 from __future__ import annotations
@@ -26,8 +35,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dtrtrs
 from scipy.optimize import minimize
 
 DEFAULT_JITTER_FACTOR = 1e-10
@@ -119,56 +127,125 @@ class Evaluation:
             object.__setattr__(self, "grad", grad)
 
 
+# A surrogate and the surrogates appended from it share storage: the factor
+# and the ledger each sit in the leading rows of buffers with spare rows. A
+# child of a holder of rows [0, n) writes its rows [n, n + width) in place
+# only while no one has written past row n and the rows fit; otherwise it
+# copies the n rows into buffers this much larger. A chain of appends so
+# writes only its new rows, O(N * width) amortised, and a second child of
+# one parent takes a copy and leaves its sibling intact.
+_GROWTH = 1.25
+
+
+class _Rows:
+    """Buffers of equal length whose first ``filled`` rows hold data.
+
+    ``square`` buffers also grow in their second axis: a lower factor. A
+    copy zeroes the first rows past their data, and whoever fills a row
+    zeroes it past the diagonal, so every leading block is lower triangular.
+    """
+
+    __slots__ = ("buffers", "filled", "square")
+
+    def __init__(self, buffers: tuple, filled: int, square: bool = False):
+        self.buffers, self.filled, self.square = buffers, filled, square
+
+    def claim(self, n: int, width: int) -> "_Rows":
+        """Storage whose rows [n, n + width) the holder of rows [0, n) may
+        write: these buffers if no one has written past row n and the rows
+        fit, else grown copies of their first n rows. The caller raises
+        ``filled`` once it has written the rows."""
+        if self.filled == n and n + width <= self.buffers[0].shape[0]:
+            return self
+        cap = math.ceil(_GROWTH * (n + width))
+        grown = []
+        for buf in self.buffers:
+            if self.square:
+                new = np.empty((cap, cap))
+                new[:n, :n] = buf[:n, :n]
+                new[:n, n:] = 0.0
+            else:
+                new = np.empty((cap,) + buf.shape[1:])
+                new[:n] = buf[:n]
+            grown.append(new)
+        return _Rows(tuple(grown), n, self.square)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
 class EvaluationLedger:
     """Immutable store of exact evaluations with O(1) duplicate lookup.
 
     The evaluations are held as stacked read-only arrays: thetas, values and,
-    when every entry has one, gradients. ``with_entry`` returns a grown copy
-    and leaves this ledger as it was, so two appends to one parent cannot
-    see each other.
+    when every entry has one, gradients. ``with_entry`` returns a grown
+    ledger and leaves this one as it was, so two appends to one parent cannot
+    see each other: the first writes its row in place past this ledger's
+    rows (see ``_GROWTH``), a sibling, or an entry without the gradient the
+    others have, copies. The index of thetas is shared the same way, so
+    ``position`` ignores the keys at or past this ledger's length.
     """
 
     def __init__(self, entries=()):
         entries = list(entries)
         self._index: dict[bytes, int] = {}
+        self._n = 0
         for ev in entries:
-            self._claim(ev, entries[0].theta.shape[0])
+            self._check(ev, entries[0].theta.shape[0])
+            self._index[_key(ev.theta)] = self._n
+            self._n += 1
         with_grads = all(ev.grad is not None for ev in entries)
-        self._freeze(np.array([ev.theta for ev in entries]),
-                     np.array([ev.log_lik for ev in entries]),
-                     np.array([ev.grad for ev in entries]) if with_grads else None)
+        buffers = (np.array([ev.theta for ev in entries]),
+                   np.array([ev.log_lik for ev in entries]))
+        if with_grads:
+            buffers += (np.array([ev.grad for ev in entries]),)
+        self._view(_Rows(buffers, self._n))
 
-    def _claim(self, ev: Evaluation, dim: int) -> None:
-        key = _key(ev.theta)
-        if key in self._index:
+    def _check(self, ev: Evaluation, dim: int) -> None:
+        if self.position(ev.theta) is not None:
             raise DuplicatePointError("theta already recorded in ledger")
         if ev.theta.shape[0] != dim:
             raise ValueError("dimension mismatch with existing entries")
-        self._index[key] = len(self._index)
 
-    def _freeze(self, thetas, values, grads) -> None:
-        for arr in (thetas, values, grads):
-            if arr is not None:
-                arr.flags.writeable = False
-        self._thetas, self._values, self._grads = thetas, values, grads
+    def _view(self, rows: _Rows) -> None:
+        self._rows = rows
+        views = [_read_only(buf[:self._n]) for buf in rows.buffers]
+        self._thetas, self._values = views[:2]
+        self._grads = views[2] if len(views) == 3 else None
 
     def with_entry(self, ev: Evaluation) -> "EvaluationLedger":
-        """A copy grown by ``ev``; raises as the constructor would."""
-        if not self._index:
+        """This ledger grown by ``ev``; raises as the constructor would."""
+        if not self._n:
             return EvaluationLedger([ev])
+        self._check(ev, self.dim)
+        return self._grown(ev)
+
+    def _grown(self, ev: Evaluation) -> "EvaluationLedger":
+        if self._grads is not None and ev.grad is None:
+            # the grown ledger holds no gradients, so it cannot share these rows
+            return EvaluationLedger([*self, ev])
+        n = self._n
+        rows = self._rows.claim(n, 1)
+        index = self._index if rows is self._rows else {
+            key: i for key, i in self._index.items() if i < n}
+        for buf, value in zip(rows.buffers, (ev.theta, ev.log_lik, ev.grad)):
+            buf[n] = value
+        index[_key(ev.theta)] = n
+        rows.filled = n + 1
         grown = object.__new__(EvaluationLedger)
-        grown._index = dict(self._index)
-        grown._claim(ev, self.dim)
-        with_grads = self._grads is not None and ev.grad is not None
-        grown._freeze(np.vstack([self._thetas, ev.theta]), np.append(self._values, ev.log_lik),
-                      np.vstack([self._grads, ev.grad]) if with_grads else None)
+        grown._index, grown._n = index, n + 1
+        grown._view(rows)
         return grown
 
     def position(self, theta) -> int | None:
-        return self._index.get(_key(_vector(theta)))
+        i = self._index.get(_key(_vector(theta)))
+        return i if i is not None and i < self._n else None
 
     def __len__(self) -> int:
-        return len(self._index)
+        return self._n
 
     def __getitem__(self, i: int) -> Evaluation:
         grad = None if self._grads is None else self._grads[i]
@@ -179,7 +256,7 @@ class EvaluationLedger:
 
     @property
     def dim(self) -> int:
-        if not self._index:
+        if not self._n:
             raise ValueError("empty ledger has no dimension")
         return self._thetas.shape[1]
 
@@ -337,6 +414,20 @@ def _stable_cholesky(assemble, jitter: float) -> tuple[np.ndarray, float]:
     )
 
 
+def _solve_lower(buf: np.ndarray, n: int, rhs: np.ndarray) -> np.ndarray:
+    """L^-1 rhs for the lower factor L in the leading n x n block of ``buf``.
+
+    ``buf`` is C-ordered, so ``buf[:n].T`` is a Fortran-ordered (cap, n)
+    view with L' in its leading block. LAPACK trtrs, told that block is
+    upper triangular and to transpose it, solves L x = rhs reading the
+    factor where it lies, with lda = cap: nothing is copied.
+    """
+    x, info = dtrtrs(buf[:n].T, rhs, lower=0, trans=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"trtrs failed with info {info}")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # surrogate model
 
@@ -348,13 +439,15 @@ class GPSurrogate:
     the gradients) and ``e`` marking the value rows: ``b_ref = L^-1 (t -
     reference_mean e)``, ``b_e = L^-1 e`` and ``white = L^-1 (t - prior_mean
     e)``, always computed from ``b_ref`` and ``b_e`` so repeated recentring
-    cannot drift. ``data`` is the training set, row for row.
+    cannot drift. ``data`` is the training set, row for row. L lies in the
+    leading rows of a buffer shared with the surrogates appended from this
+    one (see ``_GROWTH``); ``chol`` is a read-only view of it.
     """
 
     hyper: KernelHyper
     data: EvaluationLedger
     prior_mean: float
-    chol: np.ndarray
+    _factor: _Rows
     reference_mean: float
     b_ref: np.ndarray
     b_e: np.ndarray
@@ -365,6 +458,15 @@ class GPSurrogate:
     @property
     def n_train(self) -> int:
         return len(self.data)
+
+    @property
+    def chol(self) -> np.ndarray:
+        n = self.b_ref.shape[0]
+        return _read_only(self._factor.buffers[0][:n, :n])
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        """L^-1 rhs."""
+        return _solve_lower(self._factor.buffers[0], self.b_ref.shape[0], rhs)
 
     @property
     def dim(self) -> int:
@@ -415,8 +517,9 @@ def fit(ledger: EvaluationLedger, hyper: KernelHyper, prior_mean: float,
     chol, jitter_used = _stable_cholesky(lambda: assemble(x, x, hyper), hyper.jitter)
     rhs = np.column_stack([_centered_targets(y, grads, prior_mean, gradient_mode),
                            _value_rows(x.shape[0], x.shape[1], gradient_mode)])
-    b_ref, b_e = solve_triangular(chol, rhs, lower=True, check_finite=False).T
-    return GPSurrogate(hyper=hyper, data=ledger, prior_mean=prior_mean, chol=chol,
+    b_ref, b_e = _solve_lower(chol, chol.shape[0], rhs).T
+    return GPSurrogate(hyper=hyper, data=ledger, prior_mean=prior_mean,
+                       _factor=_Rows((chol,), chol.shape[0], square=True),
                        reference_mean=prior_mean, b_ref=b_ref, b_e=b_e, white=b_ref,
                        jitter_used=jitter_used, gradient_mode=gradient_mode)
 
@@ -424,11 +527,12 @@ def fit(ledger: EvaluationLedger, hyper: KernelHyper, prior_mean: float,
 def append(gp: GPSurrogate, ev: Evaluation) -> GPSurrogate:
     """Extend with one evaluation via a rank-(block) Cholesky update.
 
-    The whitened targets grow by one forward-substitution block, so nothing
-    is re-solved. Matches a full refit at the same jitter to tight numerical
-    tolerance.
+    The factor and the whitened targets grow by one forward-substitution
+    block, so nothing is re-solved, and only the new rows are written. Matches
+    a full refit at the same jitter to tight numerical tolerance. An append
+    that raises writes nothing.
     """
-    data = gp.data.with_entry(ev)
+    gp.data._check(ev, gp.dim)
     theta = ev.theta
     if gp.gradient_mode and ev.grad is None:
         raise GradientModeError("joint-gradient surrogate requires gradients on append")
@@ -440,30 +544,32 @@ def append(gp: GPSurrogate, ev: Evaluation) -> GPSurrogate:
         cross = _se_matrix(gp.data.thetas(), theta[None, :], gp.hyper)
         corner = np.array([[gp.hyper.signal_variance]])
     corner = corner + gp.jitter_used * np.eye(width)
-    w = solve_triangular(gp.chol, cross, lower=True, check_finite=False)
+    w = gp._solve(cross)
     schur = corner - w.T @ w
     try:
         corner_chol = np.linalg.cholesky(0.5 * (schur + schur.T))
     except np.linalg.LinAlgError:
         raise IllConditionedKernelError("appended point makes the kernel matrix singular")
-    n_old = gp.chol.shape[0]
-    chol = np.empty((n_old + width, n_old + width))
-    chol[:n_old, :n_old] = gp.chol
-    chol[:n_old, n_old:] = 0.0
-    chol[n_old:, :n_old] = w.T
-    chol[n_old:, n_old:] = corner_chol
+    n = gp.b_ref.shape[0]
+    factor = gp._factor.claim(n, width)
+    buf = factor.buffers[0]
+    buf[n:n + width, :n] = w.T
+    buf[n:n + width, n:n + width] = corner_chol
+    buf[n:n + width, n + width:] = 0.0
+    factor.filled = n + width
 
     grad_new = ev.grad[None, :] if gp.gradient_mode else None
     rhs = np.column_stack([
         _centered_targets(np.array([ev.log_lik]), grad_new, gp.reference_mean,
                           gp.gradient_mode) - w.T @ gp.b_ref,
         _value_rows(1, gp.dim, gp.gradient_mode) - w.T @ gp.b_e])
-    block = solve_triangular(corner_chol, rhs, lower=True, check_finite=False)
+    block = _solve_lower(corner_chol, width, rhs)
     b_ref = np.concatenate([gp.b_ref, block[:, 0]])
     b_e = np.concatenate([gp.b_e, block[:, 1]])
     white = np.concatenate([gp.white, block[:, 0] - (gp.prior_mean - gp.reference_mean)
                             * block[:, 1]])
-    return replace(gp, data=data, chol=chol, b_ref=b_ref, b_e=b_e, white=white)
+    return replace(gp, data=gp.data._grown(ev), _factor=factor, b_ref=b_ref, b_e=b_e,
+                   white=white)
 
 
 def predict(gp: GPSurrogate, theta) -> SurrogatePrediction:
@@ -479,7 +585,7 @@ def predict(gp: GPSurrogate, theta) -> SurrogatePrediction:
         cross = _joint_block_matrix(gp.data.thetas(), theta[None, :], gp.hyper)[:, 0]
     else:
         cross = _se_matrix(gp.data.thetas(), theta[None, :], gp.hyper)[:, 0]
-    w = solve_triangular(gp.chol, cross, lower=True, check_finite=False)
+    w = gp._solve(cross)
     mean = gp.prior_mean + float(w @ gp.white)
     variance = max(gp.hyper.signal_variance - float(w @ w), 0.0)
     return SurrogatePrediction(mean=mean, variance=variance)
@@ -497,7 +603,7 @@ def predict_joint(gp: GPSurrogate, theta) -> SurrogatePrediction:
                                    grad_mean=gp.data.grads()[pos].copy(),
                                    joint_cov=np.zeros((1 + d, 1 + d)))
     cross = _joint_block_matrix(gp.data.thetas(), theta[None, :], gp.hyper)
-    w = solve_triangular(gp.chol, cross, lower=True, check_finite=False)
+    w = gp._solve(cross)
     joint_mean = w.T @ gp.white
     joint_mean[0] += gp.prior_mean
     cov = _query_prior_block(gp.hyper) - w.T @ w

@@ -181,6 +181,9 @@ def test_run_config_validation():
         RunConfig(workers=0)
     with pytest.raises(ConfigError, match="algo"):
         RunConfig(algos=())
+    with pytest.raises(ConfigError, match="eval_denominator"):
+        RunConfig(eval_denominator=0)
+    assert RunConfig(eval_denominator=1).eval_denominator == 1
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +448,28 @@ def test_cli_exit_code_2_on_config_errors(tmp_path, capsys):
                  "--proposal-scales", "0.5", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "error" in err.lower() or err.strip()
+
+
+@pytest.mark.parametrize("cmd", ["run", "bench"])
+@pytest.mark.parametrize("via", ["flag", "ini"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_non_positive_eval_denominator_exits_2_before_any_chain(tmp_path, monkeypatch,
+                                                                capsys, cmd, via, value):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    started = []
+    monkeypatch.setattr(bench, "execute_replicate", lambda *a, **kw: started.append(a))
+    argv = [cmd, "--target", "t1", "--algo", "mh", "--iters", "40", "--burnin", "10",
+            "--out", str(tmp_path)]
+    if via == "flag":
+        argv += ["--eval-denominator", value]
+    else:
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(f"[sampler]\neval_denominator = {value}\n")
+        argv += ["--config", str(ini)]
+    assert main(argv) == 2
+    assert started == []
+    assert "eval_denominator" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.ini"] if via == "ini" else [])
 
 
 @pytest.mark.parametrize("flag", [["--iters", "soon"], ["--mala-step", "big"],

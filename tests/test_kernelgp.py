@@ -377,6 +377,150 @@ def test_sibling_appends_share_nothing_they_write(gradient_mode):
             assert a.variance == pytest.approx(b.variance, abs=1e-8)
 
 
+# ---------------------------------------------------------------------------
+# storage: appends write their rows in place into a buffer shared by claim
+
+def smooth_evals(rng, n, gradient_mode):
+    points = rng.uniform(-2, 2, size=(n, 2))
+    values = np.sin(points[:, 0]) + 0.5 * np.cos(2 * points[:, 1])
+    grads = np.stack([np.cos(points[:, 0]), -np.sin(2 * points[:, 1])], axis=1)
+    return [Evaluation(theta=t, log_lik=v, grad=g if gradient_mode else None)
+            for t, v, g in zip(points, values, grads)]
+
+
+def capacity(gp):
+    return gp._factor.buffers[0].shape[0]
+
+
+def assert_matches_fit(gp, evs, gradient_mode, rng):
+    full = fit(EvaluationLedger(evs), HYPER_2D, prior_mean=gp.prior_mean,
+               gradient_mode=gradient_mode)
+    assert gp.n_train == len(evs)
+    assert np.array_equal(gp.data.thetas(), full.data.thetas())
+    np.testing.assert_allclose(gp.chol, full.chol, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(gp.white, full.white, rtol=0, atol=1e-8)
+    for q in rng.uniform(-2, 2, size=(5, 2)):
+        a, b = predict(gp, q), predict(full, q)
+        assert a.mean == pytest.approx(b.mean, abs=1e-8)
+        assert a.variance == pytest.approx(b.variance, abs=1e-8)
+        if gradient_mode:
+            a, b = predict_joint(gp, q), predict_joint(full, q)
+            np.testing.assert_allclose(a.grad_mean, b.grad_mean, rtol=0, atol=1e-8)
+            np.testing.assert_allclose(a.joint_cov, b.joint_cov, rtol=0, atol=1e-8)
+
+
+def predictions(gp, queries):
+    predict_fn = predict_joint if gp.gradient_mode else predict
+    return [predict_fn(gp, q) for q in queries]
+
+
+def assert_same_predictions(before, after):
+    for a, b in zip(before, after):
+        assert a.mean == b.mean and a.variance == b.variance
+        if a.grad_mean is not None:
+            assert np.array_equal(a.grad_mean, b.grad_mean)
+            assert np.array_equal(a.joint_cov, b.joint_cov)
+
+
+@pytest.mark.parametrize("gradient_mode", [False, True])
+def test_append_chain_writes_in_place_until_growth(gradient_mode):
+    rng = np.random.default_rng(30)
+    # fewer joint points: 40 of them make a 120 x 120 matrix too ill-conditioned
+    # for an append chain and a fresh factorisation to agree to 1e-8
+    evs = smooth_evals(rng, 14 if gradient_mode else 40, gradient_mode)
+    width = 3 if gradient_mode else 1
+    gp = fit(EvaluationLedger(evs[:3]), HYPER_2D, prior_mean=0.2,
+             gradient_mode=gradient_mode)
+    assert capacity(gp) == gp.chol.shape[0]
+    growths = 0
+    for i in range(3, len(evs)):
+        child = append(gp, evs[i])
+        in_place = (i + 1) * width <= capacity(gp)
+        assert np.shares_memory(child.chol, gp.chol) == in_place
+        assert np.shares_memory(child.data.thetas(), gp.data.thetas()) == (
+            i + 1 <= gp.data._rows.buffers[0].shape[0])
+        growths += not in_place
+        gp = child
+        assert gp.chol.flags.writeable is False
+        assert np.all(gp.chol[np.triu_indices(gp.chol.shape[0], 1)] == 0.0)
+    # about 25% headroom per copy: a handful of copies, not one per append
+    assert 3 <= growths < (len(evs) - 3) / 2
+    assert_matches_fit(gp, evs, gradient_mode, rng)
+
+
+@pytest.mark.parametrize("gradient_mode", [False, True])
+def test_parent_predictions_unchanged_by_in_place_child(gradient_mode):
+    rng = np.random.default_rng(31)
+    evs = smooth_evals(rng, 8, gradient_mode)
+    parent = append(fit(EvaluationLedger(evs[:6]), HYPER_2D, prior_mean=0.1,
+                        gradient_mode=gradient_mode), evs[6])
+    queries = rng.uniform(-2, 2, size=(6, 2))
+    before = predictions(parent, queries)
+    chol = parent.chol.copy()
+    child = append(parent, evs[7])
+    assert np.shares_memory(child.chol, parent.chol)
+    assert np.array_equal(parent.chol, chol)
+    assert parent.n_train == 7 and parent.data.position(evs[7].theta) is None
+    assert_same_predictions(before, predictions(parent, queries))
+    # the training point the child added is still a plain query to the parent
+    assert predict(parent, evs[7].theta).variance > 0.0
+
+
+@pytest.mark.parametrize("gradient_mode", [False, True])
+def test_sibling_of_in_place_child_copies_and_all_stay_correct(gradient_mode):
+    rng = np.random.default_rng(32)
+    evs = smooth_evals(rng, 10, gradient_mode)
+    parent = append(fit(EvaluationLedger(evs[:5]), HYPER_2D, prior_mean=-0.3,
+                        gradient_mode=gradient_mode), evs[5])
+    first = append(parent, evs[6])
+    second = append(parent, evs[7])
+    assert np.shares_memory(first.chol, parent.chol)
+    assert not np.shares_memory(second.chol, parent.chol)
+    assert not np.shares_memory(second.data.thetas(), parent.data.thetas())
+    # each line keeps growing in its own storage
+    first_child, second_child = append(first, evs[8]), append(second, evs[9])
+    assert np.shares_memory(second_child.chol, second.chol)
+    assert second.data.position(evs[6].theta) is None
+    assert first.data.position(evs[7].theta) is None
+    for gp, idx in ((parent, [0, 1, 2, 3, 4, 5]), (first, [0, 1, 2, 3, 4, 5, 6]),
+                    (second, [0, 1, 2, 3, 4, 5, 7]), (first_child, [0, 1, 2, 3, 4, 5, 6, 8]),
+                    (second_child, [0, 1, 2, 3, 4, 5, 7, 9])):
+        assert_matches_fit(gp, [evs[i] for i in idx], gradient_mode, rng)
+
+
+@pytest.mark.parametrize("gradient_mode", [False, True])
+def test_singular_append_writes_nothing_and_keeps_the_claim(gradient_mode):
+    hyper = KernelHyper(lengthscales=(1.0, 0.7), signal_variance=1.0, jitter=1e-30)
+    rng = np.random.default_rng(33)
+    evs = smooth_evals(rng, 4, gradient_mode)
+    gp = append(fit(EvaluationLedger(evs[:2]), hyper, prior_mean=0.0,
+                    gradient_mode=gradient_mode), evs[2])
+    chol, white = gp.chol.copy(), gp.white.copy()
+    filled = gp._factor.filled, gp.data._rows.filled
+    near = Evaluation(theta=evs[0].theta + 1e-13, log_lik=evs[0].log_lik, grad=evs[0].grad)
+    with pytest.raises(IllConditionedKernelError):
+        append(gp, near)
+    assert (gp._factor.filled, gp.data._rows.filled) == filled
+    assert np.array_equal(gp.chol, chol) and np.array_equal(gp.white, white)
+    grown = append(gp, evs[3])
+    assert np.shares_memory(grown.chol, gp.chol)
+    assert np.shares_memory(grown.data.thetas(), gp.data.thetas())
+    full = fit(EvaluationLedger(evs), hyper, prior_mean=0.0, gradient_mode=gradient_mode)
+    np.testing.assert_allclose(grown.chol, full.chol, rtol=0, atol=1e-8)
+
+
+def test_solve_lower_reads_the_leading_block_of_a_wider_buffer():
+    rng = np.random.default_rng(34)
+    cap, n = 9, 6
+    lower = np.tril(rng.standard_normal((n, n))) + 4.0 * np.eye(n)
+    buf = np.full((cap, cap), np.nan)
+    buf[:n, :n] = lower + np.triu(np.full((n, n), np.nan), 1)
+    for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        x = kernelgp._solve_lower(buf, n, rhs)
+        assert x.shape == rhs.shape
+        np.testing.assert_allclose(lower @ x, rhs, rtol=0, atol=1e-12)
+
+
 def test_append_duplicate_rejected():
     ledger = make_ledger([[0.0, 0.0]], [1.0])
     gp = fit(ledger, HYPER_2D, prior_mean=0.0)
