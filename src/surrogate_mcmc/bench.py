@@ -153,6 +153,11 @@ class RunConfig:
             raise ConfigError("workers must be at least 1")
         if self.eval_denominator is not None and self.eval_denominator < 1:
             raise ConfigError("eval_denominator must be at least 1")
+        if self.mala_step is not None and not (math.isfinite(self.mala_step)
+                                               and self.mala_step > 0):
+            raise ConfigError("mala_step must be finite and positive")
+        if self.scale is not None and self.scale < 1:
+            raise ConfigError("scale must be at least 1")
 
 
 SETTINGS = {f.name: f.metadata["setting"] for f in fields(RunConfig)}
@@ -381,7 +386,7 @@ def _sampler_config(cfg: RunConfig, target, algo: str, chain_seed: int) -> Sampl
     if scales.shape != (target.dim,):
         raise ConfigError(f"proposal_scales needs {target.dim} entries for "
                           f"{target.name}, got {scales.shape[0]}")
-    mala = None
+    step = None
     if algo in GRADIENT_ALGOS:
         if not target.has_gradient:
             raise ConfigError(f"algo {algo} needs gradients, which target "
@@ -390,8 +395,8 @@ def _sampler_config(cfg: RunConfig, target, algo: str, chain_seed: int) -> Sampl
         if step is None:
             raise ConfigError(f"target {target.name} has no default mala step; "
                               "set mala_step explicitly")
-        mala = MalaProposalParams.diagonal(step, scales ** 2)
     try:
+        mala = None if step is None else MalaProposalParams.diagonal(step, scales ** 2)
         return SamplerConfig(proposal_scales=scales, n_iters=cfg.n_iters,
                              n_burnin=cfg.n_burnin, mala=mala,
                              gp_init_count=cfg.gp_init_count,

@@ -13,6 +13,12 @@ both by one forward-substitution block, and a prediction reads its mean off
 the same L^-1 k* it needs for the variance; nothing calls a full
 Cholesky solve.
 
+One method builds a query point's cross-covariance k* and solves L^-1 k*,
+and the surrogate keeps that solve for the last point it was asked about.
+A prediction and an append at the same point so share one solve: the
+survivor of a two-stage screen is appended with only its corner block left
+to build and factor.
+
 A fit assembles K into a buffer of its own, adds the jitter to the diagonal
 and factors it in place with LAPACK potrf. If K is not numerically positive
 definite, the jitter is raised by a decade and K is assembled afresh, up to
@@ -32,7 +38,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
@@ -442,6 +448,12 @@ class GPSurrogate:
     cannot drift. ``data`` is the training set, row for row. L lies in the
     leading rows of a buffer shared with the surrogates appended from this
     one (see ``_GROWTH``); ``chol`` is a read-only view of it.
+
+    ``_last_solve`` keeps L^-1 k* for the last point a prediction or an
+    append asked about, so a prediction and an append at the same point
+    share one solve. It is the one field that changes after construction,
+    and the surrogates that ``with_prior_mean`` and ``append`` build start
+    without it.
     """
 
     hyper: KernelHyper
@@ -454,6 +466,7 @@ class GPSurrogate:
     white: np.ndarray
     jitter_used: float
     gradient_mode: bool
+    _last_solve: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def n_train(self) -> int:
@@ -464,9 +477,17 @@ class GPSurrogate:
         n = self.b_ref.shape[0]
         return _read_only(self._factor.buffers[0][:n, :n])
 
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        """L^-1 rhs."""
-        return _solve_lower(self._factor.buffers[0], self.b_ref.shape[0], rhs)
+    def _cross_solve(self, theta: np.ndarray) -> np.ndarray:
+        """Read-only w = L^-1 k(X, theta): one column in scalar mode, the
+        1 + d columns of the value-gradient block in joint mode."""
+        key = _key(theta)
+        if self._last_solve is not None and self._last_solve[0] == key:
+            return self._last_solve[1]
+        cross = _assembler(self.gradient_mode)(self.data.thetas(), theta[None, :], self.hyper)
+        w = _solve_lower(self._factor.buffers[0], self.b_ref.shape[0], cross)
+        w.flags.writeable = False
+        object.__setattr__(self, "_last_solve", (key, w))
+        return w
 
     @property
     def dim(self) -> int:
@@ -481,6 +502,11 @@ class GPSurrogate:
             return self
         white = self.b_ref - (prior_mean - self.reference_mean) * self.b_e
         return replace(self, prior_mean=prior_mean, white=white)
+
+
+def _assembler(gradient_mode: bool):
+    """The kernel matrix builder of a surrogate's mode."""
+    return _joint_block_matrix if gradient_mode else _se_matrix
 
 
 def _centered_targets(y: np.ndarray, grads: np.ndarray | None, prior_mean: float,
@@ -513,7 +539,7 @@ def fit(ledger: EvaluationLedger, hyper: KernelHyper, prior_mean: float,
     prior_mean = float(prior_mean)
     if not math.isfinite(prior_mean):
         raise ValueError("prior_mean must be finite")
-    assemble = _joint_block_matrix if gradient_mode else _se_matrix
+    assemble = _assembler(gradient_mode)
     chol, jitter_used = _stable_cholesky(lambda: assemble(x, x, hyper), hyper.jitter)
     rhs = np.column_stack([_centered_targets(y, grads, prior_mean, gradient_mode),
                            _value_rows(x.shape[0], x.shape[1], gradient_mode)])
@@ -528,23 +554,20 @@ def append(gp: GPSurrogate, ev: Evaluation) -> GPSurrogate:
     """Extend with one evaluation via a rank-(block) Cholesky update.
 
     The factor and the whitened targets grow by one forward-substitution
-    block, so nothing is re-solved, and only the new rows are written. Matches
-    a full refit at the same jitter to tight numerical tolerance. An append
-    that raises writes nothing.
+    block, so nothing is re-solved, and only the new rows are written; the
+    block's L^-1 k* is the one a prediction at ``ev.theta`` already solved,
+    if it was the last point ``gp`` predicted at. Matches a full refit at the
+    same jitter to tight numerical tolerance. An append that raises writes
+    nothing.
     """
     gp.data._check(ev, gp.dim)
     theta = ev.theta
     if gp.gradient_mode and ev.grad is None:
         raise GradientModeError("joint-gradient surrogate requires gradients on append")
-    width = 1 + gp.dim if gp.gradient_mode else 1
-    if gp.gradient_mode:
-        cross = _joint_block_matrix(gp.data.thetas(), theta[None, :], gp.hyper)
-        corner = _joint_block_matrix(theta[None, :], theta[None, :], gp.hyper)
-    else:
-        cross = _se_matrix(gp.data.thetas(), theta[None, :], gp.hyper)
-        corner = np.array([[gp.hyper.signal_variance]])
+    w = gp._cross_solve(theta)
+    width = w.shape[1]
+    corner = _assembler(gp.gradient_mode)(theta[None, :], theta[None, :], gp.hyper)
     corner = corner + gp.jitter_used * np.eye(width)
-    w = gp._solve(cross)
     schur = corner - w.T @ w
     try:
         corner_chol = np.linalg.cholesky(0.5 * (schur + schur.T))
@@ -581,11 +604,7 @@ def predict(gp: GPSurrogate, theta) -> SurrogatePrediction:
     pos = gp.data.position(theta)
     if pos is not None:
         return SurrogatePrediction(mean=float(gp.data.values()[pos]), variance=0.0)
-    if gp.gradient_mode:
-        cross = _joint_block_matrix(gp.data.thetas(), theta[None, :], gp.hyper)[:, 0]
-    else:
-        cross = _se_matrix(gp.data.thetas(), theta[None, :], gp.hyper)[:, 0]
-    w = gp._solve(cross)
+    w = gp._cross_solve(theta)[:, 0]
     mean = gp.prior_mean + float(w @ gp.white)
     variance = max(gp.hyper.signal_variance - float(w @ w), 0.0)
     return SurrogatePrediction(mean=mean, variance=variance)
@@ -602,8 +621,7 @@ def predict_joint(gp: GPSurrogate, theta) -> SurrogatePrediction:
         return SurrogatePrediction(mean=float(gp.data.values()[pos]), variance=0.0,
                                    grad_mean=gp.data.grads()[pos].copy(),
                                    joint_cov=np.zeros((1 + d, 1 + d)))
-    cross = _joint_block_matrix(gp.data.thetas(), theta[None, :], gp.hyper)
-    w = gp._solve(cross)
+    w = gp._cross_solve(theta)
     joint_mean = w.T @ gp.white
     joint_mean[0] += gp.prior_mean
     cov = _query_prior_block(gp.hyper) - w.T @ w

@@ -450,25 +450,35 @@ def test_cli_exit_code_2_on_config_errors(tmp_path, capsys):
     assert "error" in err.lower() or err.strip()
 
 
+BAD_SETTINGS = [("eval_denominator", "0"), ("eval_denominator", "-3"),
+                ("mala_step", "0"), ("mala_step", "-1"), ("mala_step", "nan"),
+                ("mala_step", "inf"), ("scale", "0"), ("scale", "-2")]
+
+
 @pytest.mark.parametrize("cmd", ["run", "bench"])
 @pytest.mark.parametrize("via", ["flag", "ini"])
-@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize(
+    "key,value", BAD_SETTINGS,
+    ids=[v if k == "eval_denominator" else f"{k}={v}" for k, v in BAD_SETTINGS])
 def test_non_positive_eval_denominator_exits_2_before_any_chain(tmp_path, monkeypatch,
-                                                                capsys, cmd, via, value):
+                                                                capsys, cmd, via, key,
+                                                                value):
+    """An out-of-range setting is a config error, whatever algo and target
+    would use it: exit 2 before any chain starts and before any output."""
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     started = []
     monkeypatch.setattr(bench, "execute_replicate", lambda *a, **kw: started.append(a))
     argv = [cmd, "--target", "t1", "--algo", "mh", "--iters", "40", "--burnin", "10",
             "--out", str(tmp_path)]
     if via == "flag":
-        argv += ["--eval-denominator", value]
+        argv += ["--" + key.replace("_", "-"), value]
     else:
         ini = tmp_path / "cfg.ini"
-        ini.write_text(f"[sampler]\neval_denominator = {value}\n")
+        ini.write_text(f"[{bench.SETTINGS[key].section}]\n{key} = {value}\n")
         argv += ["--config", str(ini)]
     assert main(argv) == 2
     assert started == []
-    assert "eval_denominator" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.ini"] if via == "ini" else [])
 
 

@@ -11,6 +11,8 @@ from surrogate_mcmc.kernelgp import (DuplicatePointError, Evaluation,
                                      log_marginal_likelihood, optimize_hypers,
                                      predict, predict_joint, se_kernel,
                                      se_kernel_derivative_blocks)
+from surrogate_mcmc.samplers import SamplerConfig, run_gp_mh
+from surrogate_mcmc.targets import make_target
 
 HYPER_2D = KernelHyper(lengthscales=(1.0, 0.5), signal_variance=2.0)
 
@@ -519,6 +521,95 @@ def test_solve_lower_reads_the_leading_block_of_a_wider_buffer():
         x = kernelgp._solve_lower(buf, n, rhs)
         assert x.shape == rhs.shape
         np.testing.assert_allclose(lower @ x, rhs, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one cross-covariance solve per query point, shared by prediction and append
+
+PREDICT_THEN_APPEND = [(False, predict), (True, predict), (True, predict_joint)]
+
+
+@pytest.mark.parametrize("gradient_mode,predict_fn", PREDICT_THEN_APPEND)
+@pytest.mark.parametrize("between", [False, True])
+def test_append_after_prediction_equals_a_cold_append(gradient_mode, predict_fn, between):
+    rng = np.random.default_rng(40)
+    evs = smooth_evals(rng, 8, gradient_mode)
+    other = rng.uniform(-2, 2, size=2)
+
+    def parent():
+        return fit(EvaluationLedger(evs[:7]), HYPER_2D, prior_mean=0.3,
+                   gradient_mode=gradient_mode).with_prior_mean(-0.4)
+
+    warm = parent()
+    predict_fn(warm, evs[7].theta)
+    if between:
+        predict_fn(warm, other)
+    warm_child, cold_child = append(warm, evs[7]), append(parent(), evs[7])
+    for name in ("chol", "b_ref", "b_e", "white"):
+        assert np.array_equal(getattr(warm_child, name), getattr(cold_child, name)), name
+
+
+@pytest.mark.parametrize("gradient_mode", [False, True])
+def test_kept_solve_stays_with_its_surrogate(gradient_mode):
+    rng = np.random.default_rng(41)
+    evs = smooth_evals(rng, 8, gradient_mode)
+    query = rng.uniform(-2, 2, size=2)
+    predict_fn = predict_joint if gradient_mode else predict
+    parent = fit(EvaluationLedger(evs[:7]), HYPER_2D, prior_mean=0.3,
+                 gradient_mode=gradient_mode)
+    predict_fn(parent, query)
+    recentred = parent.with_prior_mean(-0.4)
+    predict_fn(parent, query)
+    grown = append(parent, evs[7])
+    for child, rows, prior_mean in ((recentred, evs[:7], -0.4), (grown, evs, 0.3)):
+        assert child._last_solve is None
+        full = fit(EvaluationLedger(rows), HYPER_2D, prior_mean=prior_mean,
+                   gradient_mode=gradient_mode)
+        a, b = predict_fn(child, query), predict_fn(full, query)
+        assert a.mean == pytest.approx(b.mean, abs=1e-8)
+        assert a.variance == pytest.approx(b.variance, abs=1e-8)
+        if gradient_mode:
+            np.testing.assert_allclose(a.grad_mean, b.grad_mean, rtol=0, atol=1e-8)
+            np.testing.assert_allclose(a.joint_cov, b.joint_cov, rtol=0, atol=1e-8)
+
+
+def test_gp_mh_chain_solves_once_per_missed_prediction_and_never_in_append(monkeypatch):
+    counts = {"misses": 0, "solves": 0, "appends": 0, "append_solves": 0}
+    in_append = []
+    solve_lower, predict_, append_ = (kernelgp._solve_lower, kernelgp.predict,
+                                      kernelgp.append)
+
+    def counting_solve(buf, n, rhs):
+        # a scalar cross-covariance is the only one-column right-hand side:
+        # a fit solves two columns, and an append's corner block one row
+        if rhs.ndim == 2 and rhs.shape[1] == 1:
+            counts["solves"] += 1
+            counts["append_solves"] += bool(in_append)
+        return solve_lower(buf, n, rhs)
+
+    def counting_predict(gp, theta):
+        counts["misses"] += gp.data.position(theta) is None
+        return predict_(gp, theta)
+
+    def counting_append(gp, ev):
+        counts["appends"] += 1
+        in_append.append(ev)
+        try:
+            return append_(gp, ev)
+        finally:
+            in_append.pop()
+
+    monkeypatch.setattr(kernelgp, "_solve_lower", counting_solve)
+    monkeypatch.setattr(kernelgp, "predict", counting_predict)
+    monkeypatch.setattr(kernelgp, "append", counting_append)
+    target = make_target("t5", seed=0)
+    config = SamplerConfig(proposal_scales=target.proposal_scales, n_iters=150,
+                           n_burnin=60, seed=0)
+    trace = run_gp_mh(target, config, target.initial_point(np.random.default_rng(0)))
+    # every stage-1 survivor was evaluated and appended, each without a solve
+    assert counts["appends"] == trace.n_full_evals - config.gp_init_count > 0
+    assert counts["append_solves"] == 0
+    assert counts["solves"] == counts["misses"]
 
 
 def test_append_duplicate_rejected():
